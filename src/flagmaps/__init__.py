@@ -5,8 +5,8 @@ symmetry types."""
 from .errors import (AmbiguousPairing, BadZeroTwoComponent,
                      DegenerateLattice, Disconnected, EdgeOccurrenceCount,
                      FixedPointPresent, MapError, NotAMedial, NotDuality,
-                     NotInvolution, NotPolarity, ParseError, SizeMismatch,
-                     Zero2NotCommuting)
+                     NotInvolution, NotPermutation, NotPolarity,
+                     ParseError, SizeMismatch, TooSmall, Zero2NotCommuting)
 from .flagmap import (FlagBijection, FlagGraph, MapSkeleton,
                       color_automorphisms, duality_kind, elements,
                       flag_orbits, isomorphic, k_face_of, map_dualities,

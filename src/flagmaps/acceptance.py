@@ -61,8 +61,9 @@ def _rows(ctx, max_k, jobs):
 
 
 def _expect_rows(title, got, expected, max_k):
+    got = tuple(got)
     want = expected[:max_k]
-    assert tuple(got) == want, f"{title}: got {tuple(got)}, expected {want}"
+    assert got == want, f"{title}: got {got}, expected {want}"
 
 
 def _crit_census_total(max_k, jobs, ctx):

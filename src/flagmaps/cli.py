@@ -34,6 +34,23 @@ self-polar; <name> is the pinned or aliased name, else <k>:<index> in
 code order."""
 
 
+def _int_at_least(low, high=None):
+    """argparse type: an integer in [low, high], else a usage error."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = (f"at least {low}" if high is None
+                     else f"between {low} and {high}")
+            raise argparse.ArgumentTypeError(
+                f"must be {bound}, got {value}")
+        return value
+    return parse
+
+
 def _read_document(path):
     try:
         text = Path(path).read_text(encoding="ascii")
@@ -212,7 +229,7 @@ def build_parser():
         "enumerate", help="all symmetry types on k orbit vertices",
         epilog=_RECORD_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--census", action="store_true",
                    help="append the census table row")
     p.add_argument("--medial", action="store_true",
@@ -222,12 +239,12 @@ def build_parser():
     p.add_argument("--format", choices=("table", "records", "dot-dir"),
                    default="records")
     p.add_argument("--out", help="directory for --format dot-dir")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--max-k", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-k", type=_int_at_least(1, 10), default=10)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

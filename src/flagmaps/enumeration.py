@@ -7,18 +7,21 @@ layout determined by the multiset of shapes alone. Enumeration is
 therefore skeleton-first:
 
 1. lay out one skeleton per shape multiset with total size k,
-2. sweep all involutions t1 on k points (T(k) of them, the telephone
-   numbers: 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, ...),
-3. keep the connected triples.
+2. split the involutions t1 on k points (T(k) of them, the telephone
+   numbers: 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, ...) into
+   classes under the skeleton's automorphism group, as orbits of its
+   generators acting on involution indices by t -> s t s^-1,
+3. canonicalize the least member of each class, skipping the classes
+   whose triple is disconnected.
 
 Two triples over the same skeleton are isomorphic iff their t1's are
 conjugate under the skeleton's automorphism group (block permutations of
 equal shapes times the within-block symmetries), and triples over
-different skeletons are never isomorphic. Orbit-stabilizer style
-deduplication against the skeleton group replaces canonical-form calls
-on the full candidate stream; only the class representatives are
-canonicalized. A naive triple-sweep oracle is kept alongside for
-cross-checking small k.
+different skeletons are never isomorphic, so only one representative
+per class is canonicalized. The conjugation action of a generator does
+not depend on the skeleton it came from; it is computed once per k for
+the few distinct generators of all skeletons, as an index table. A
+naive triple-sweep oracle is kept alongside for cross-checking small k.
 
 From the enumerated codes the census rows are derived: self-dual and
 self-polar counts, duality and polarity counts (raw permutations or
@@ -27,13 +30,16 @@ medial-type sets from extended graphs and from doublings, and the
 edge-transitive provenance report.
 """
 
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import names
+from .errors import Disconnected
 from .permtools import (canonical_form, compose, conjugate,
-                        equivariant_bijections, involutions)
+                        equivariant_bijections, involutions,
+                        orbit_partition)
 from .typegraph import (CanonicalCode, ExtendedTypeGraph, TypeGraph,
                         face_orbit_counts)
 from .transforms import medial_type_double, medial_type_extended
@@ -107,45 +113,34 @@ def enumerate_zero_two_skeletons(k):
     return [_build_skeleton(k, counts)[:2] for counts in _shape_multisets(k)]
 
 
-def _is_connected(k, tables):
-    seen = [False] * k
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        x = stack.pop()
-        for tab in tables:
-            y = tab[x]
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == k
+@lru_cache(maxsize=1)
+def _conjugation_actions(k):
+    """{generator: action} for the distinct generators of all skeletons
+    on k points; action[i] is the index in involutions(k) of s t s^-1,
+    t being involution i."""
+    invs = involutions(k)
+    gens = {s for counts in _shape_multisets(k)
+            for s in _build_skeleton(k, counts)[2]}
+    index = {t: i for i, t in enumerate(invs)}
+    return {s: array("I", [index[conjugate(t, s)] for t in invs])
+            for s in gens}
 
 
 def _skeleton_worker(args):
     """Canonical forms of all connected classes over one skeleton."""
     k, counts = args
     t0, t2, gens = _build_skeleton(k, counts)
+    invs = involutions(k)
+    actions = _conjugation_actions(k)
+    orbits, _ = orbit_partition(len(invs), [actions[s] for s in gens])
     forms = []
-    seen = set()
-    for t1 in involutions(k):
-        if t1 in seen:
-            continue
-        orbit = {t1}
-        stack = [t1]
-        while stack:
-            cur = stack.pop()
-            for s in gens:
-                img = conjugate(cur, s)
-                if img not in orbit:
-                    orbit.add(img)
-                    stack.append(img)
-        seen |= orbit
-        # connectivity is a class invariant, so testing the found
-        # representative settles the whole orbit
-        if _is_connected(k, (t0, t1, t2)):
-            forms.append(canonical_form((t0, t1, t2)))
+    for orbit in orbits:
+        # connectivity is a class invariant, so the least member settles
+        # the whole class
+        try:
+            forms.append(canonical_form((t0, invs[orbit[0]], t2)))
+        except Disconnected:
+            pass
     return forms
 
 
@@ -189,8 +184,10 @@ def enumerate_types_bruteforce(k):
             if any(t0[t2[x]] != t2[t0[x]] for x in rng):
                 continue
             for t1 in invs:
-                if _is_connected(k, (t0, t1, t2)):
+                try:
                     forms.add(canonical_form((t0, t1, t2)))
+                except Disconnected:
+                    pass
     return tuple(CanonicalCode("stg", tabs) for tabs in sorted(forms))
 
 

@@ -24,6 +24,26 @@ class NotInvolution(MapError):
         super().__init__(f"{generator} is not an involution (witness {witness})")
 
 
+class NotPermutation(MapError):
+    """A generator table is not a permutation image table of the right
+    length: too short or too long, an image out of range, or a repeated
+    image. ``generator`` is a label such as ``"s1"`` or ``"d"``."""
+
+    def __init__(self, generator, detail):
+        self.generator = generator
+        super().__init__(f"{generator} {detail}")
+
+
+class TooSmall(MapError):
+    """A flag graph or type graph has fewer points than its kind allows."""
+
+    def __init__(self, kind, size, minimum, unit):
+        self.size = size
+        self.minimum = minimum
+        super().__init__(f"{kind} needs at least {minimum} {unit}, "
+                         f"got {size}")
+
+
 class FixedPointPresent(MapError):
     """A flag-level generator (or the 0-2 composite) fixes a flag."""
 

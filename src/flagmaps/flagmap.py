@@ -25,7 +25,7 @@ commuting with s1 and exchanging s0 with s2.
 from dataclasses import dataclass, field
 
 from .errors import (FixedPointPresent, NotDuality, NotInvolution,
-                     SizeMismatch, Zero2NotCommuting)
+                     SizeMismatch, TooSmall, Zero2NotCommuting)
 from .permtools import (check_connected, check_image_table,
                         equivariant_bijections, is_bipartite,
                         orbit_partition)
@@ -50,7 +50,7 @@ class FlagGraph:
     def _check(self):
         n = self.n
         if n < 4:
-            raise ValueError(f"a map needs at least 4 flags, got {n}")
+            raise TooSmall("a map", n, 4, "flags")
         labels = ("s0", "s1", "s2")
         for lbl, tab in zip(labels, self.s):
             check_image_table(tab, n, lbl)

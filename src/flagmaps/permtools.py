@@ -10,7 +10,7 @@ for color-equivariant bijections.
 
 from functools import lru_cache
 
-from .errors import Disconnected
+from .errors import Disconnected, NotPermutation
 
 
 def compose(p, q):
@@ -38,15 +38,16 @@ def is_involution(p):
 
 
 def check_image_table(p, n, label):
-    """Raise ValueError unless p is a permutation image table of length n."""
+    """Raise NotPermutation unless p is a permutation image table of
+    length n."""
     if len(p) != n:
-        raise ValueError(f"{label} has length {len(p)}, expected {n}")
+        raise NotPermutation(label, f"has length {len(p)}, expected {n}")
     seen = [False] * n
     for x in p:
         if not isinstance(x, int) or not 0 <= x < n:
-            raise ValueError(f"{label} contains invalid image {x!r}")
+            raise NotPermutation(label, f"contains invalid image {x!r}")
         if seen[x]:
-            raise ValueError(f"{label} repeats image {x}")
+            raise NotPermutation(label, f"repeats image {x}")
         seen[x] = True
 
 
@@ -63,16 +64,15 @@ def orbit_partition(n, gens):
             continue
         idx = len(orbits)
         orbit_of[v] = idx
+        # members doubles as the breadth-first queue
         members = [v]
-        stack = [v]
-        while stack:
-            x = stack.pop()
+        add = members.append
+        for x in members:
             for g in gens:
                 y = g[x]
                 if orbit_of[y] < 0:
                     orbit_of[y] = idx
-                    members.append(y)
-                    stack.append(y)
+                    add(y)
         orbits.append(tuple(sorted(members)))
     return tuple(orbits), tuple(orbit_of)
 

@@ -28,7 +28,7 @@ polarity is proper when d is the identity (every orbit preserved).
 from dataclasses import dataclass
 
 from .errors import (BadZeroTwoComponent, NotDuality, NotInvolution,
-                     NotPolarity)
+                     NotPolarity, TooSmall)
 from .flagmap import flag_orbits
 from .permtools import (canonical_form, check_connected, check_image_table,
                         equivariant_bijections, orbit_partition)
@@ -50,7 +50,7 @@ class TypeGraph:
     def _check(self):
         k = self.k
         if k < 1:
-            raise ValueError("need at least one vertex")
+            raise TooSmall("a type graph", k, 1, "vertex")
         for lbl, tab in zip(("t0", "t1", "t2"), self.t):
             check_image_table(tab, k, lbl)
             for v in range(k):

@@ -38,3 +38,9 @@ def test_line_format():
     assert ok.line() == "PASS  3 sample title: fine"
     bad = acceptance.CriterionResult(11, "other", False, "broken")
     assert bad.line() == "FAIL 11 other: broken"
+
+
+def test_row_mismatch_message_shows_the_rows():
+    with pytest.raises(AssertionError) as err:
+        acceptance._expect_rows("totals", (n for n in (1, 8)), (1, 7, 3), 2)
+    assert str(err.value) == "totals: got (1, 8), expected (1, 7)"

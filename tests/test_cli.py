@@ -29,6 +29,32 @@ def test_validate_reports_broken_documents(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    # a row that is not a permutation
+    "flg 1\nn 4\ns0 1 0 3 2\ns1 1 0 3 3\ns2 2 3 0 1\n",
+    # too few flags for a map
+    "flg 1\nn 2\ns0 1 0\ns1 1 0\ns2 1 0\n",
+], ids=["not-a-permutation", "two-flags"])
+def test_analyze_reports_bad_flag_tables(tmp_path, capsys, text):
+    path = tmp_path / "bad.flg"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "stg 1\nn 2\nt0 0 1\nt1 1 1\nt2 0 1\n",
+    "xstg 1\nn 2\nt0 1 0\nt1 0 1\nt2 1 0\nd 0 0\n",
+], ids=["stg", "xstg"])
+def test_validate_reports_bad_type_tables(tmp_path, capsys, text):
+    path = tmp_path / "bad.doc"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert "repeats image" in capsys.readouterr().err
+
+
 def test_validate_reports_missing_files(capsys):
     assert main(["validate", "/nonexistent/input.flg"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -154,10 +180,23 @@ def test_selftest_at_small_depth(capsys):
     assert sum(1 for line in lines if line.startswith("PASS")) == 12
 
 
-def test_usage_errors_exit_with_two():
-    with pytest.raises(SystemExit) as err:
-        main([])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["transform", "--op", "frobnicate", "x.flg"])
-    assert err.value.code == 2
+USAGE_ERRORS = (
+    [],
+    ["transform", "--op", "frobnicate", "x.flg"],
+    ["enumerate", "--k", "0"],
+    ["enumerate", "--k", "-2"],
+    ["enumerate", "--k", "two"],
+    ["enumerate", "--k", "2", "--jobs", "0"],
+    ["enumerate", "--k", "2", "--jobs", "-1"],
+    ["selftest", "--max-k", "0"],
+    ["selftest", "--max-k", "11"],
+    ["selftest", "--jobs", "0"],
+)
+
+
+def test_usage_errors_exit_with_two(capsys):
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv

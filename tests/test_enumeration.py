@@ -1,6 +1,9 @@
 """Census of symmetry types: skeletons, counts, calibration, reports."""
 
+import hashlib
 import random
+
+import pytest
 
 from flagmaps import (
     TypeGraph,
@@ -17,11 +20,24 @@ from flagmaps import (
     realize,
     type_records,
 )
-from flagmaps.enumeration import enumerate_zero_two_skeletons
-from flagmaps.permtools import conjugate
+from flagmaps.enumeration import (_conjugation_actions,
+                                  enumerate_zero_two_skeletons)
+from flagmaps.permtools import conjugate, involutions
 from flagmaps.typegraph import classify_zero_two_component, zero_two_components
 
 TOTALS = (1, 7, 3, 22, 13, 70)
+
+# sha256 of the newline-terminated code listing for k = 1..8
+CODE_DIGESTS = {
+    1: "1c91557ed9fbb2d162e6b5382ae5a675fb4366b0e1547386aa75f709cd557a90",
+    2: "0960a02e566bdda7b4dd076000635a6102b0b7c907a6aa383540b5341752afe7",
+    3: "8389617a9ef6cca5af2c26c298d69f8707546b4db01dba5e66fb7ab7660f68c1",
+    4: "1f143e4c15a5ad2fe99783c9a074cfcecadfd49a4e28d3a3bc6c30c02e61506f",
+    5: "3e40fa4c21029ae71276211abad6544c183662f294e56255f63ebe2b21da6eb9",
+    6: "7624a160f9f0c4348fbfda3798b6d86cb214deb43b2c5417588f97d6d6bcc87a",
+    7: "7fda029b0265e838d2ab393379eeecddcdd917eb2f299265abba9711c6942970",
+    8: "c773e7308205b7ec7061d47e69429fde380164f94ac49de6f5c50d96511b7dfd",
+}
 
 
 def test_skeletons_at_four_vertices():
@@ -41,18 +57,36 @@ def test_enumeration_counts():
         assert len(enumerate_types(k)) == expected, k
 
 
+@pytest.mark.parametrize("k", sorted(CODE_DIGESTS))
+def test_enumerated_codes_are_frozen(k):
+    text = "".join(str(c) + "\n" for c in enumerate_types(k))
+    assert hashlib.sha256(text.encode()).hexdigest() == CODE_DIGESTS[k]
+
+
 def test_enumeration_agrees_with_bruteforce():
-    for k in (1, 2, 3):
+    for k in range(1, 6):
         assert set(enumerate_types(k)) == set(enumerate_types_bruteforce(k))
+
+
+def test_conjugation_actions_are_permutations_matching_conjugate():
+    for k in range(1, 8):
+        invs = involutions(k)
+        actions = _conjugation_actions(k)
+        # one point has no symmetry to act with
+        assert bool(actions) == (k > 1)
+        for s, action in actions.items():
+            assert sorted(action) == list(range(len(invs)))
+            for i, t in enumerate(invs):
+                assert invs[action[i]] == conjugate(t, s)
 
 
 def test_parallel_enumeration_matches_serial():
     from flagmaps import enumeration as enum_mod
 
-    serial = enumerate_types(3)
+    serial = enumerate_types(6)
     # drop the memo so the worker pool really runs
-    enum_mod._TABLES_CACHE.pop(3, None)
-    assert enumerate_types(3, jobs=2) == serial
+    enum_mod._TABLES_CACHE.pop(6, None)
+    assert enumerate_types(6, jobs=2) == serial
 
 
 def test_realize_round_trip():
