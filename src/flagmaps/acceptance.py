@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import names
 from .enumeration import (census, edge_transitive_medial_check,
                           enumerate_types, enumerate_types_bruteforce,
-                          medial_census, type_records)
+                          medial_census, medial_products, type_records)
 from .errors import NotAMedial
 from .flagmap import elements, flag_orbits, isomorphic, map_dualities
 from .formats import cube, octahedron, tetrahedron, torus44
@@ -26,7 +26,7 @@ from .transforms import (demedialize, dual_flag, dual_type, medial_flag,
                          medial_type_double, medial_type_extended,
                          petrie_flag, petrie_type,
                          schlafli_gate_for_double_medial)
-from .typegraph import canonical_code, extend, polarities, quotient
+from .typegraph import CanonicalCode, canonical_code, extend, quotient
 
 EXPECTED_TOTAL = (1, 7, 3, 22, 13, 70, 67, 315, 393, 1577)
 EXPECTED_SELF_DUAL = (1, 3, 1, 8, 3, 12, 7, 45, 25, 91)
@@ -160,45 +160,35 @@ def _crit_edge_transitive(max_k, jobs, ctx):
             "types, provenance matches on the 9 pinned routes")
 
 
-def _extended_products(name):
-    """Medial codes of a pinned type split by polarity kind.
-
-    Returns ({proper product codes}, {improper product codes}); the
-    proper set is empty or a singleton since the only proper polarity is
-    the identity.
-    """
-    t = names.pinned_type(name)
-    ident = tuple(range(t.k))
-    proper = set()
-    improper = set()
-    for d in polarities(t):
-        code = canonical_code(medial_type_extended(extend(t, d)))
-        (proper if d == ident else improper).add(code)
-    return proper, improper
+def _products(name, route):
+    """Medial codes of a pinned type by one route ("proper", "improper"
+    or "doubling"), looked up in the census's medial products."""
+    src = _pinned_code(name)
+    m = 2 * src.k if route == "doubling" else src.k
+    return {CanonicalCode("stg", product)
+            for tabs, r, product in medial_products(m)
+            if tabs == src.tables and r == route}
 
 
 def _crit_pinned_products(max_k, jobs, ctx):
     checks = 0
-    for source, kind, product in (
+    for source, route, product in (
             ("1", "proper", "1"),
             ("2_02", "proper", "2_12"),
             ("2_02", "improper", "2_1"),
             ("2_1", "improper", "2_0"),
             ("2", "proper", "2_2"),
             ("2", "improper", "2"),
-            ("3^02", "proper", "3^0")):
-        proper, improper = _extended_products(source)
-        got = proper if kind == "proper" else improper
+            ("3^02", "proper", "3^0"),
+            ("1", "doubling", "2_01"), ("2_0", "doubling", "4_H"),
+            ("2_2", "doubling", "4_H"), ("2_01", "doubling", "4_A"),
+            ("2_12", "doubling", "4_A"), ("2_1", "doubling", "4_C"),
+            ("2_02", "doubling", "4_F"), ("2", "doubling", "4_G"),
+            ("3^0", "doubling", "6_D"), ("3^2", "doubling", "6_D"),
+            ("3^02", "doubling", "6_M")):
+        got = _products(source, route)
         want = {_pinned_code(product)}
-        assert got == want, f"({source}, {kind}): {got} != {product}"
-        checks += 1
-    for source, product in (
-            ("1", "2_01"), ("2_0", "4_H"), ("2_2", "4_H"),
-            ("2_01", "4_A"), ("2_12", "4_A"), ("2_1", "4_C"),
-            ("2_02", "4_F"), ("2", "4_G"),
-            ("3^0", "6_D"), ("3^2", "6_D"), ("3^02", "6_M")):
-        got = canonical_code(medial_type_double(names.pinned_type(source)))
-        assert got == _pinned_code(product), f"doubling({source})"
+        assert got == want, f"({source}, {route}): {got} != {product}"
         checks += 1
     return f"{checks} pinned extended/doubling products, exact code match"
 

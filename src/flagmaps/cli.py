@@ -18,7 +18,8 @@ from .enumeration import census, format_census_table, medial_census, \
 from .errors import MapError, NotAMedial
 from .flagmap import (FlagGraph, color_automorphisms, duality_kind,
                       elements, flag_orbits, isomorphic)
-from .formats import parse_document, serialize_flg, serialize_stg, to_dot
+from .formats import (decode_ascii, parse_document, serialize_flg,
+                      serialize_stg, to_dot)
 from .transforms import (demedialize, dual_flag, medial_flag, opposite_flag,
                          petrie_flag)
 from .typegraph import ExtendedTypeGraph, TypeGraph, canonical_code, \
@@ -53,7 +54,7 @@ def _int_at_least(low, high=None):
 
 def _read_document(path):
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = decode_ascii(Path(path).read_bytes(), path)
     except OSError as exc:
         raise MapError(f"cannot read {path}: {exc}") from exc
     return parse_document(text)

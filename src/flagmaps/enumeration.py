@@ -27,7 +27,9 @@ From the enumerated codes the census rows are derived: self-dual and
 self-polar counts, duality and polarity counts (raw permutations or
 conjugacy classes, calibrated against reference counts for k <= 4),
 medial-type sets from extended graphs and from doublings, and the
-edge-transitive provenance report.
+edge-transitive provenance report. medial_products(m) builds every
+extended and doubled medial type on m vertices once, with its source and
+route; the medial-type sets, the provenance and the records all read it.
 """
 
 from array import array
@@ -39,9 +41,9 @@ from . import names
 from .errors import Disconnected
 from .permtools import (canonical_form, compose, conjugate,
                         equivariant_bijections, involutions,
-                        orbit_partition)
+                        is_involution, orbit_partition)
 from .typegraph import (CanonicalCode, ExtendedTypeGraph, TypeGraph,
-                        face_orbit_counts)
+                        is_edge_transitive_type)
 from .transforms import medial_type_double, medial_type_extended
 
 _SHAPES = (("Q4", 4), ("Q2a", 2), ("Q2b", 2), ("Q2c", 2), ("Q1", 1))
@@ -193,11 +195,12 @@ def enumerate_types_bruteforce(k):
 
 @lru_cache(maxsize=None)
 def _type_details(k):
-    """Per-type data: (tables, dual form, petrie form, dualities, auts).
+    """Per-type data: (tables, dual form, petrie form, dualities, auts,
+    polarities).
 
-    dualities and auts are only materialized for self-dual types; the
-    composite of two dualities is an automorphism, so both lists have
-    equal length there.
+    dualities, auts and polarities (the involutory dualities) are only
+    materialized for self-dual types; the composite of two dualities is
+    an automorphism, so dualities and auts have equal length there.
     """
     recs = []
     for tabs in _enumerate_tables(k):
@@ -211,16 +214,18 @@ def _type_details(k):
         else:
             dualities = ()
             auts = ()
-        recs.append((tabs, dual_form, petrie_form, dualities, auts))
+        pols = tuple(d for d in dualities if is_involution(d))
+        recs.append((tabs, dual_form, petrie_form, dualities, auts, pols))
     return tuple(recs)
 
 
-def _is_involution_perm(p):
-    return all(p[p[x]] == x for x in range(len(p)))
-
-
-def _class_count(elems, auts):
-    """Number of orbits of conjugation by the automorphism group."""
+def _mode_count(elems, auts, mode):
+    """Number of elems under "raw" counting, or of their orbits under
+    conjugation by the automorphisms auts under "conjugacy" counting."""
+    if mode == "raw":
+        return len(elems)
+    if mode != "conjugacy":
+        raise ValueError(f"unknown duality mode {mode!r}")
     seen = set()
     classes = 0
     for e in elems:
@@ -237,18 +242,10 @@ def _mode_counts(k, mode):
     vertices, under "raw" or "conjugacy" counting."""
     d_total = 0
     e_total = 0
-    for _, _, _, dualities, auts in _type_details(k):
-        if not dualities:
-            continue
-        pols = [p for p in dualities if _is_involution_perm(p)]
-        if mode == "raw":
-            d_total += len(dualities)
-            e_total += len(pols)
-        elif mode == "conjugacy":
-            d_total += _class_count(dualities, auts)
-            e_total += _class_count(pols, auts)
-        else:
-            raise ValueError(f"unknown duality mode {mode!r}")
+    for _, _, _, dualities, auts, pols in _type_details(k):
+        if dualities:
+            d_total += _mode_count(dualities, auts, mode)
+            e_total += _mode_count(pols, auts, mode)
     return d_total, e_total
 
 
@@ -313,16 +310,14 @@ def census(k, duality_mode=None, jobs=1):
     self_polar = 0
     self_petrie = 0
     proper_admitting = 0
-    for tabs, dual_form, petrie_form, dualities, _ in details:
+    for tabs, dual_form, petrie_form, _, _, pols in details:
         if tabs[0] == tabs[2]:
             proper_admitting += 1
         if petrie_form == tabs:
             self_petrie += 1
-        if dual_form != tabs:
-            continue
-        self_dual += 1
-        if any(_is_involution_perm(p) for p in dualities):
-            self_polar += 1
+        if dual_form == tabs:
+            self_dual += 1
+            self_polar += bool(pols)
     d_total, e_total = _mode_counts(k, mode)
     med = medial_census(k)
     assert proper_admitting == (3 if k % 2 == 0 else 1), proper_admitting
@@ -369,32 +364,46 @@ class MedialCensus:
                             set(self.from_doubling)))
 
 
-def medial_census(m, jobs=1):
-    _enumerate_tables(m, jobs)
-    ext_forms = set()
-    for tabs, dual_form, _, dualities, _ in _type_details(m):
-        if dual_form != tabs:
-            continue
+@lru_cache(maxsize=None)
+def medial_products(m):
+    """(source tables, route, canonical product tables) for every medial
+    type built on m vertices.
+
+    Each polarity d of each self-dual type on m vertices gives the medial
+    of the extended graph (type, d), by route "proper" when d is the
+    identity and "improper" otherwise; for even m each type on m/2
+    vertices gives its doubling, by route "doubling". Distinct entries
+    may repeat a triple.
+    """
+    ident = tuple(range(m))
+    out = []
+    for tabs, _, _, _, _, pols in _type_details(m):
         base = TypeGraph(*tabs, check=False)
-        for d in dualities:
-            if not _is_involution_perm(d):
-                continue
+        for d in pols:
             med = medial_type_extended(ExtendedTypeGraph(base, d))
-            ext_forms.add(med.t)
-    dbl_forms = set()
+            out.append((tabs, "proper" if d == ident else "improper",
+                        canonical_form(med.t)))
     if m % 2 == 0:
         for tabs in _enumerate_tables(m // 2):
             med = medial_type_double(TypeGraph(*tabs, check=False))
-            dbl_forms.add(canonical_form(med.t))
-    ext_set = {CanonicalCode("stg", canonical_form(t)) for t in ext_forms}
-    dbl_set = {CanonicalCode("stg", t) for t in dbl_forms}
+            out.append((tabs, "doubling", canonical_form(med.t)))
+    return tuple(out)
+
+
+def medial_census(m, jobs=1):
+    _enumerate_tables(m, jobs)
+    ext_set = set()
+    dbl_set = set()
+    for _, route, product in medial_products(m):
+        (dbl_set if route == "doubling" else ext_set).add(
+            CanonicalCode("stg", product))
     overlap = tuple(sorted(ext_set & dbl_set))
     f = len(ext_set)
     g = len(ext_set | dbl_set)
     if m % 2 == 0:
         half = _type_details(m // 2)
         a_half = len(half)
-        b_half = sum(1 for tabs, dual_form, _, _, _ in half
+        b_half = sum(1 for tabs, dual_form, _, _, _, _ in half
                      if dual_form == tabs)
         formula_ok = g == f + (a_half + b_half) // 2
     else:
@@ -445,34 +454,15 @@ def edge_transitive_medial_check(jobs=1):
     For each, all producing routes through extended graphs and doublings
     are collected.
     """
-    et_codes = []
-    for k in (1, 2, 4):
-        for code in enumerate_types(k, jobs):
-            t = TypeGraph(*code.tables, check=False)
-            if face_orbit_counts(t)[1] == 1:
-                et_codes.append(code)
+    et_codes = [code for k in (1, 2, 4) for code in enumerate_types(k, jobs)
+                if is_edge_transitive_type(
+                    TypeGraph(*code.tables, check=False))]
     prov = {code: set() for code in et_codes}
     for m in (1, 2, 4):
-        for tabs, dual_form, _, dualities, _ in _type_details(m):
-            if dual_form != tabs:
-                continue
-            base = TypeGraph(*tabs, check=False)
-            src = CanonicalCode("stg", tabs)
-            for d in dualities:
-                if not _is_involution_perm(d):
-                    continue
-                med = medial_type_extended(ExtendedTypeGraph(base, d))
-                code = CanonicalCode("stg", canonical_form(med.t))
-                if code in prov:
-                    route = ("proper" if d == tuple(range(m))
-                             else "improper")
-                    prov[code].add((src, route))
-        if m % 2 == 0:
-            for tabs in _enumerate_tables(m // 2):
-                med = medial_type_double(TypeGraph(*tabs, check=False))
-                code = CanonicalCode("stg", canonical_form(med.t))
-                if code in prov:
-                    prov[code].add((CanonicalCode("stg", tabs), "doubling"))
+        for src, route, product in medial_products(m):
+            code = CanonicalCode("stg", product)
+            if code in prov:
+                prov[code].add((CanonicalCode("stg", src), route))
     all_present = all(prov[code] for code in et_codes)
     return EdgeTransitiveReport(
         types=tuple(et_codes),
@@ -514,26 +504,21 @@ def type_records(k, aliases=None, duality_mode=None, jobs=1):
     """
     mode = duality_mode or calibrate_duality_mode()
     _enumerate_tables(k, jobs)
-    medial_codes = set(medial_census(k).codes)
+    medial_tabs = {product for _, _, product in medial_products(k)}
     records = []
-    for index, (tabs, dual_form, petrie_form, dualities, auts) in enumerate(
+    for index, (tabs, dual_form, petrie_form, _, auts, pols) in enumerate(
             _type_details(k)):
         code = CanonicalCode("stg", tabs)
-        t = TypeGraph(*tabs, check=False)
-        pols = [p for p in dualities if _is_involution_perm(p)]
-        if mode == "conjugacy":
-            npol = _class_count(pols, auts)
-        else:
-            npol = len(pols)
         records.append(TypeRecord(
             code=code,
             name=names.lookup(code, aliases) or f"{k}:{index}",
             self_dual=dual_form == tabs,
             self_petrie=petrie_form == tabs,
-            edge_transitive=face_orbit_counts(t)[1] == 1,
-            is_medial_type=code in medial_codes,
+            edge_transitive=is_edge_transitive_type(
+                TypeGraph(*tabs, check=False)),
+            is_medial_type=tabs in medial_tabs,
             self_polar=bool(pols),
-            polarity_count=npol))
+            polarity_count=_mode_count(pols, auts, mode)))
     return records
 
 

@@ -155,16 +155,8 @@ def k_face_of(g, flag, rank):
     if not 0 <= flag < g.n:
         raise ValueError(f"flag {flag} out of range")
     gens = tuple(tab for i, tab in enumerate(g.s) if i != rank)
-    members = {flag}
-    stack = [flag]
-    while stack:
-        x = stack.pop()
-        for tab in gens:
-            y = tab[x]
-            if y not in members:
-                members.add(y)
-                stack.append(y)
-    return frozenset(members)
+    orbits, orbit_of = orbit_partition(g.n, gens)
+    return frozenset(orbits[orbit_of[flag]])
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,18 @@ from .typegraph import ExtendedTypeGraph, TypeGraph
 _TOKEN = re.compile(r"\S+")
 
 
+def decode_ascii(data, source):
+    """The text of ASCII bytes; a ParseError locates the first other byte.
+    source names the document in the message."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"{source}: non-ASCII byte {data[exc.start]:#04x}",
+                         line=line, column=column) from None
+
+
 def _content_lines(text):
     """(line number, token list, spans) for non-blank, non-comment lines."""
     out = []

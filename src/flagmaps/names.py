@@ -23,7 +23,10 @@ taken from the FLAGMAPS_ALIASES environment variable.
 
 import json
 import os
+from pathlib import Path
 
+from .errors import MapError, ParseError
+from .formats import decode_ascii
 from .transforms import dual_type, medial_type_double, medial_type_extended
 from .typegraph import (ExtendedTypeGraph, TypeGraph, canonical_code,
                         classify_zero_two_component, zero_two_components)
@@ -94,16 +97,23 @@ def load_aliases(path=None):
     """Alias mapping {code string: name} from a JSON file.
 
     Without an argument the path is read from FLAGMAPS_ALIASES; a missing
-    variable or file yields an empty mapping.
+    variable or file yields an empty mapping. A file that cannot be read,
+    is not ASCII, or does not hold a JSON object raises a MapError.
     """
     if path is None:
         path = os.environ.get(ALIAS_ENV_VAR)
     if not path or not os.path.exists(path):
         return {}
-    with open(path, encoding="ascii") as fh:
-        data = json.load(fh)
+    source = f"alias file {path}"
+    try:
+        data = json.loads(decode_ascii(Path(path).read_bytes(), source))
+    except OSError as exc:
+        raise MapError(f"cannot read {source}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source} is not JSON: {exc.msg}",
+                         line=exc.lineno, column=exc.colno) from None
     if not isinstance(data, dict):
-        raise ValueError("alias file must contain a JSON object")
+        raise MapError(f"{source} must contain a JSON object")
     return {str(k): str(v) for k, v in data.items()}
 
 

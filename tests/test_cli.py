@@ -1,5 +1,6 @@
 """End-to-end runs of the command line, in process where possible."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -8,6 +9,19 @@ import pytest
 from flagmaps import isomorphic, medial_flag, parse_flg, serialize_flg, torus44
 from flagmaps.cli import main
 from flagmaps.formats import cube, octahedron, tetrahedron
+from flagmaps.names import ALIAS_ENV_VAR
+
+# sha256 of the stdout of `enumerate --k K --census --medial`, k = 1..8
+CENSUS_DIGESTS = {
+    1: "82601198b38b8ad6eeae0fcb3d78601d228dba798e033426566ee5d0ceed644f",
+    2: "abf988c411f9861b83dd4f358ca645bdb9bcde8ddb7a0209ab3130998a3e0443",
+    3: "086dec9b7019c1844c49212130192e36fa8313f0ef20473e88c4740ccbc0d6d5",
+    4: "347ff725d92ff8c9df36d41ab6d2b6e615a99494f10487641be6ea919a92eb67",
+    5: "5392a76040976f3f8a7ee0e9d061c7e6b2dc69547a113b654594beca96aa6bee",
+    6: "e02276d79b263c218f116fcdb33633d6303b4c0c7adf864c9e480e1ae7ed0bff",
+    7: "cc0ac13401a5116b04de883807b4e2ed54c83cfdd8ee4bb4ed0538fffb48a535",
+    8: "d4eafdb6ed50a264b075b340c2c3a5cfc86cb106f170b38e7f295f4e2cdafc6e",
+}
 
 
 def write_map(tmp_path, g, name="input.flg"):
@@ -53,6 +67,16 @@ def test_validate_reports_bad_type_tables(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
     assert "repeats image" in capsys.readouterr().err
+
+
+def test_validate_reports_non_ascii_bytes(tmp_path, capsys):
+    path = tmp_path / "accent.flg"
+    path.write_bytes("flg 1 # café\n".encode("utf-8"))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "non-ASCII byte 0xc3 at line 1, column 12" in err
+    assert "Traceback" not in err
 
 
 def test_validate_reports_missing_files(capsys):
@@ -149,6 +173,31 @@ def test_enumerate_census_and_medial_blocks(capsys):
     assert "medial-types k=2 from-extended=6 union=7 closed-form=holds" in out
     assert sum(1 for line in out.splitlines()
                if line.startswith("medial-code: ")) == 7
+
+
+@pytest.mark.parametrize("k", sorted(CENSUS_DIGESTS))
+def test_enumerate_census_output_is_frozen(capsys, k):
+    assert main(["enumerate", "--k", str(k), "--census", "--medial"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_DIGESTS[k]
+
+
+@pytest.mark.parametrize("content", [
+    b"not json", b"[1,2]", "{\"x\": \"café\"}".encode("utf-8"), None,
+], ids=["not-json", "not-an-object", "non-ascii", "directory"])
+def test_enumerate_reports_bad_alias_files(tmp_path, capsys, monkeypatch,
+                                           content):
+    path = tmp_path / "aliases.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    monkeypatch.setenv(ALIAS_ENV_VAR, str(path))
+    assert main(["enumerate", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "alias file" in err
+    assert "Traceback" not in err
 
 
 def test_enumerate_dot_directory(tmp_path, capsys):

@@ -14,14 +14,18 @@ from flagmaps import (
     edge_transitive_medial_check,
     enumerate_types,
     enumerate_types_bruteforce,
+    extend,
     medial_census,
     medial_type_double,
+    medial_type_extended,
     pinned_type,
+    polarities,
     realize,
     type_records,
 )
 from flagmaps.enumeration import (_conjugation_actions,
-                                  enumerate_zero_two_skeletons)
+                                  enumerate_zero_two_skeletons,
+                                  medial_products)
 from flagmaps.permtools import conjugate, involutions
 from flagmaps.typegraph import classify_zero_two_component, zero_two_components
 
@@ -144,6 +148,26 @@ def test_medial_census_on_two_vertices():
     assert set(mc.codes) == set(enumerate_types(2))
 
 
+def test_medial_products_match_the_public_path():
+    for m in range(1, 8):
+        ident = tuple(range(m))
+        want = set()
+        for code in enumerate_types(m):
+            t = realize(code)
+            for d in polarities(t):
+                product = canonical_code(medial_type_extended(extend(t, d)))
+                route = "proper" if d == ident else "improper"
+                want.add((code.tables, route, product.tables))
+        if m % 2 == 0:
+            for code in enumerate_types(m // 2):
+                product = canonical_code(medial_type_double(realize(code)))
+                want.add((code.tables, "doubling", product.tables))
+        assert set(medial_products(m)) == want, m
+    # one entry per polarity and per doubling, so triples may repeat
+    assert len(medial_products(4)) == 24
+    assert len(set(medial_products(4))) == 22
+
+
 def test_edge_transitive_report():
     rep = edge_transitive_medial_check()
     assert rep.all_present
@@ -180,3 +204,8 @@ def test_type_records_on_two_vertices():
     line = records["2_02"].line()
     assert "polarities=2" in line
     assert "name=2_02" in line
+
+
+def test_type_records_reject_unknown_duality_modes():
+    with pytest.raises(ValueError, match="unknown duality mode"):
+        type_records(2, duality_mode="bogus")

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from flagmaps import (
+    MapError,
+    ParseError,
     canonical_code,
     enumerate_types,
     load_aliases,
@@ -76,3 +78,31 @@ def test_load_aliases_from_environment(tmp_path, monkeypatch):
 
 def test_load_aliases_missing_file_is_empty():
     assert load_aliases("/nonexistent/aliases.json") == {}
+
+
+def test_load_aliases_reports_bad_json_with_its_position(tmp_path):
+    path = tmp_path / "aliases.json"
+    path.write_text('{\n  "a": 1,\n  oops\n}')
+    with pytest.raises(ParseError) as err:
+        load_aliases(path)
+    assert (err.value.line, err.value.column) == (3, 3)
+
+
+def test_load_aliases_rejects_a_json_array(tmp_path):
+    path = tmp_path / "aliases.json"
+    path.write_text("[1,2]")
+    with pytest.raises(MapError, match="JSON object"):
+        load_aliases(path)
+
+
+def test_load_aliases_rejects_a_directory(tmp_path):
+    with pytest.raises(MapError, match="cannot read"):
+        load_aliases(tmp_path)
+
+
+def test_load_aliases_rejects_non_ascii_bytes(tmp_path):
+    path = tmp_path / "aliases.json"
+    path.write_bytes('{"a": 1,\n "b": "café"}'.encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        load_aliases(path)
+    assert (err.value.line, err.value.column) == (2, 11)
