@@ -18,12 +18,11 @@ from .enumeration import census, format_census_table, medial_census, \
 from .errors import MapError, NotAMedial
 from .flagmap import (FlagGraph, color_automorphisms, duality_kind,
                       elements, flag_orbits, isomorphic)
-from .formats import (decode_ascii, parse_document, serialize_flg,
-                      serialize_stg, to_dot)
+from .formats import (decode_ascii, document_rows, parse_document,
+                      serialize_flg, serialize_stg, to_dot)
 from .transforms import (demedialize, dual_flag, medial_flag, opposite_flag,
                          petrie_flag)
-from .typegraph import ExtendedTypeGraph, TypeGraph, canonical_code, \
-    quotient, realize
+from .typegraph import canonical_code, quotient, realize
 
 _RECORD_HELP = """\
 record line format (--format records):
@@ -68,11 +67,8 @@ def _require_map(doc, command):
 
 
 def _cmd_validate(args):
-    doc = _read_document(args.file)
-    kind = {FlagGraph: "flg", TypeGraph: "stg",
-            ExtendedTypeGraph: "xstg"}[type(doc)]
-    size = doc.n if isinstance(doc, FlagGraph) else doc.k
-    print(f"ok: {kind} document, size {size}")
+    kind, rows = document_rows(_read_document(args.file))
+    print(f"ok: {kind} document, size {len(rows[0][1])}")
     return 0
 
 
@@ -236,7 +232,7 @@ def build_parser():
     p.add_argument("--medial", action="store_true",
                    help="append the medial-type summary and codes")
     p.add_argument("--duality-mode", choices=("conjugacy", "raw"),
-                   help="counting convention; default is calibrated")
+                   help="counting convention; default is raw")
     p.add_argument("--format", choices=("table", "records", "dot-dir"),
                    default="records")
     p.add_argument("--out", help="directory for --format dot-dir")

@@ -24,10 +24,10 @@ the few distinct generators of all skeletons, as an index table. A
 naive triple-sweep oracle is kept alongside for cross-checking small k.
 
 From the enumerated codes the census rows are derived: self-dual and
-self-polar counts, duality and polarity counts (raw permutations or
-conjugacy classes, calibrated against reference counts for k <= 4),
-medial-type sets from extended graphs and from doublings, and the
-edge-transitive provenance report. medial_products(m) builds every
+self-polar counts, duality and polarity counts (raw permutations by
+default, which the reference counts for k <= 4 confirm, or conjugacy
+classes), medial-type sets from extended graphs and from doublings, and
+the edge-transitive provenance report. medial_products(m) builds every
 extended and doubled medial type on m vertices once, with its source and
 route; the medial-type sets, the provenance and the records all read it.
 """
@@ -249,9 +249,10 @@ def _mode_counts(k, mode):
     return d_total, e_total
 
 
-# Reference duality/polarity counts for k = 1..4, used only to pick the
-# counting convention; the full expected tables live with the acceptance
-# suite.
+# Duality/polarity counting when no mode is given: count permutations.
+# calibrate_duality_mode re-derives it from the k = 1..4 reference counts
+# below; the full expected tables live with the acceptance suite.
+DEFAULT_DUALITY_MODE = "raw"
 _CALIBRATION_DUALITIES = (1, 6, 1, 21)
 _CALIBRATION_POLARITIES = (1, 6, 1, 17)
 
@@ -298,11 +299,11 @@ class CensusRow:
 def census(k, duality_mode=None, jobs=1):
     """Census of all type graphs on k vertices.
 
-    With duality_mode=None the calibrated default is used. The count of
+    With duality_mode=None, DEFAULT_DUALITY_MODE is used. The count of
     types admitting a proper polarity is cross-checked against the
     expected exact values (three for even k, one for odd k).
     """
-    mode = duality_mode or calibrate_duality_mode()
+    mode = duality_mode or DEFAULT_DUALITY_MODE
     _enumerate_tables(k, jobs)
     details = _type_details(k)
     total = len(details)
@@ -500,9 +501,9 @@ def type_records(k, aliases=None, duality_mode=None, jobs=1):
     """Records for all types on k vertices, in canonical code order.
 
     Unregistered types get systematic names "k:index" by code order.
-    polarity_count follows the calibrated mode unless overridden.
+    polarity_count follows DEFAULT_DUALITY_MODE unless overridden.
     """
-    mode = duality_mode or calibrate_duality_mode()
+    mode = duality_mode or DEFAULT_DUALITY_MODE
     _enumerate_tables(k, jobs)
     medial_tabs = {product for _, _, product in medial_products(k)}
     records = []

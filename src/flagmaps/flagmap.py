@@ -24,9 +24,9 @@ commuting with s1 and exchanging s0 with s2.
 
 from dataclasses import dataclass, field
 
-from .errors import (FixedPointPresent, NotDuality, NotInvolution,
-                     SizeMismatch, TooSmall, Zero2NotCommuting)
-from .permtools import (check_connected, check_image_table,
+from .errors import (FixedPointPresent, NotDuality, SizeMismatch, TooSmall,
+                     Zero2NotCommuting)
+from .permtools import (check_connected, check_involutions,
                         equivariant_bijections, is_bipartite,
                         orbit_partition)
 
@@ -52,12 +52,8 @@ class FlagGraph:
         if n < 4:
             raise TooSmall("a map", n, 4, "flags")
         labels = ("s0", "s1", "s2")
+        check_involutions(self.s, labels)
         for lbl, tab in zip(labels, self.s):
-            check_image_table(tab, n, lbl)
-        for lbl, tab in zip(labels, self.s):
-            for x in range(n):
-                if tab[tab[x]] != x:
-                    raise NotInvolution(lbl, x)
             for x in range(n):
                 if tab[x] == x:
                     raise FixedPointPresent(lbl, x)
@@ -95,8 +91,10 @@ class FlagGraph:
 def validate(s0, s1, s2):
     """Check the map axioms and return the flag graph.
 
-    Raises NotInvolution, FixedPointPresent, Zero2NotCommuting or
-    Disconnected, each carrying a witness.
+    Raises, in the order checked: TooSmall (fewer than four flags),
+    NotPermutation (a table is not a permutation of the flags),
+    NotInvolution, FixedPointPresent, Zero2NotCommuting (each with a
+    witness flag) or Disconnected (with the component sizes).
     """
     return FlagGraph(s0, s1, s2)
 

@@ -122,56 +122,26 @@ def _expect_row(reader, label, n):
     return tuple(_int_token(tok, lineno) for tok in tokens[1:])
 
 
-def parse_flg(text):
-    reader = _Reader(text)
-    _expect_header(reader, "flg")
+# kind: (class, row labels, object from rows, rows of an object)
+_KINDS = {
+    "flg": (FlagGraph, ("s0", "s1", "s2"), FlagGraph, lambda g: g.s),
+    "stg": (TypeGraph, ("t0", "t1", "t2"), TypeGraph, lambda t: t.t),
+    "xstg": (ExtendedTypeGraph, ("t0", "t1", "t2", "d"),
+             lambda *r: ExtendedTypeGraph(TypeGraph(*r[:3]), r[3]),
+             lambda x: x.base.t + (x.d,)),
+}
+
+
+def _read_rows(reader, kind):
+    _, labels, build, _ = _KINDS[kind]
+    _expect_header(reader, kind)
     n = _expect_count(reader)
-    rows = [_expect_row(reader, label, n) for label in ("s0", "s1", "s2")]
+    rows = [_expect_row(reader, label, n) for label in labels]
     reader.finish()
-    return FlagGraph(*rows)
+    return build(*rows)
 
 
-def serialize_flg(g):
-    lines = ["flg 1", f"n {g.n}"]
-    for label, tab in zip(("s0", "s1", "s2"), g.s):
-        lines.append(label + " " + " ".join(map(str, tab)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_stg(text):
-    reader = _Reader(text)
-    _expect_header(reader, "stg")
-    k = _expect_count(reader)
-    rows = [_expect_row(reader, label, k) for label in ("t0", "t1", "t2")]
-    reader.finish()
-    return TypeGraph(*rows)
-
-
-def serialize_stg(t):
-    lines = ["stg 1", f"n {t.k}"]
-    for label, tab in zip(("t0", "t1", "t2"), t.t):
-        lines.append(label + " " + " ".join(map(str, tab)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_xstg(text):
-    reader = _Reader(text)
-    _expect_header(reader, "xstg")
-    k = _expect_count(reader)
-    rows = [_expect_row(reader, label, k)
-            for label in ("t0", "t1", "t2", "d")]
-    reader.finish()
-    return ExtendedTypeGraph(TypeGraph(*rows[:3]), rows[3])
-
-
-def serialize_xstg(x):
-    base = serialize_stg(x.base)
-    d_line = "d " + " ".join(map(str, x.d)) + "\n"
-    return "xstg 1" + base[len("stg 1"):] + d_line
-
-
-def parse_map(text):
-    reader = _Reader(text)
+def _read_map(reader):
     _expect_header(reader, "map")
     walks = []
     while reader.pos < len(reader.lines):
@@ -183,6 +153,51 @@ def parse_map(text):
     return flag_graph_from_walks(walks)
 
 
+def document_rows(obj):
+    """(kind, labelled rows) of a flag graph, type graph or extended type
+    graph; TypeError for anything else."""
+    for kind, (cls, labels, _, rows) in _KINDS.items():
+        if type(obj) is cls:
+            return kind, tuple(zip(labels, rows(obj)))
+    raise TypeError(f"no document kind for {type(obj).__name__}")
+
+
+def _write(obj):
+    """The canonical document of obj, in the kind document_rows gives."""
+    kind, rows = document_rows(obj)
+    lines = [f"{kind} 1", f"n {len(rows[0][1])}"]
+    lines += [label + " " + " ".join(map(str, tab)) for label, tab in rows]
+    return "\n".join(lines) + "\n"
+
+
+def parse_flg(text):
+    return _read_rows(_Reader(text), "flg")
+
+
+def parse_stg(text):
+    return _read_rows(_Reader(text), "stg")
+
+
+def parse_xstg(text):
+    return _read_rows(_Reader(text), "xstg")
+
+
+def parse_map(text):
+    return _read_map(_Reader(text))
+
+
+def serialize_flg(g):
+    return _write(g)
+
+
+def serialize_stg(t):
+    return _write(t)
+
+
+def serialize_xstg(x):
+    return _write(x)
+
+
 def serialize_map(walks):
     return "map 1\n" + "".join(
         " ".join(map(str, walk)) + "\n" for walk in walks)
@@ -192,13 +207,14 @@ def parse_document(text):
     """Dispatch on the header line: flg, stg, xstg or map."""
     reader = _Reader(text)
     lineno, tokens = reader.take("document header")
+    reader.pos = 0  # the kind's reader checks the header in full
     kind = tokens[0][0]
-    parser = {"flg": parse_flg, "stg": parse_stg,
-              "xstg": parse_xstg, "map": parse_map}.get(kind)
-    if parser is None:
+    if kind == "map":
+        return _read_map(reader)
+    if kind not in _KINDS:
         raise ParseError(f"unknown document kind {kind!r}",
                          line=lineno, column=tokens[0][1])
-    return parser(text)
+    return _read_rows(reader, kind)
 
 
 def flag_graph_from_walks(walks):
@@ -353,21 +369,13 @@ def to_dot(obj):
     type graph. Colours map to edge styles (0 solid, 1 dashed, 2 dotted,
     the duality colour bold); fixed points become edges to degree-1 stub
     nodes named v<i>_s<colour>."""
-    if isinstance(obj, ExtendedTypeGraph):
-        n = obj.k
-        layers = [("0", obj.base.t0), ("1", obj.base.t1),
-                  ("2", obj.base.t2), ("D", obj.d)]
-    elif isinstance(obj, TypeGraph):
-        n = obj.k
-        layers = [("0", obj.t0), ("1", obj.t1), ("2", obj.t2)]
-    elif isinstance(obj, FlagGraph):
-        n = obj.n
-        layers = [("0", obj.s0), ("1", obj.s1), ("2", obj.s2)]
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} as DOT")
+    _, rows = document_rows(obj)
+    n = len(rows[0][1])
     stubs = []
     edges = []
-    for color, tab in layers:
+    for label, tab in rows:
+        # the colour is the label's last character: 0, 1, 2 or D
+        color = label[-1].upper()
         style = _DOT_STYLE[color]
         for x in range(n):
             y = tab[x]

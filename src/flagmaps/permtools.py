@@ -10,7 +10,7 @@ for color-equivariant bijections.
 
 from functools import lru_cache
 
-from .errors import Disconnected, NotPermutation
+from .errors import Disconnected, NotInvolution, NotPermutation
 
 
 def compose(p, q):
@@ -49,6 +49,18 @@ def check_image_table(p, n, label):
         if seen[x]:
             raise NotPermutation(label, f"repeats image {x}")
         seen[x] = True
+
+
+def check_involutions(tables, labels):
+    """Raise NotPermutation, then NotInvolution, unless all tables are
+    involutions on len(tables[0]) points; labels name them."""
+    n = len(tables[0])
+    for lbl, tab in zip(labels, tables):
+        check_image_table(tab, n, lbl)
+    for lbl, tab in zip(labels, tables):
+        for x in range(n):
+            if tab[tab[x]] != x:
+                raise NotInvolution(lbl, x)
 
 
 def orbit_partition(n, gens):

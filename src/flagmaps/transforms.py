@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .errors import MapError, NotAMedial
 from .flagmap import FlagGraph, elements, flag_orbits, isomorphic
 from .permtools import compose, orbit_partition
-from .typegraph import ExtendedTypeGraph, TypeGraph
+from .typegraph import TypeGraph
 
 
 def dual_flag(g):
@@ -54,52 +54,32 @@ def petrie_type(t):
 
 def opposite_flag(g):
     """dual . petrie . dual, the third involution in the operator group.
-
-    Equality with petrie . dual . petrie is asserted.
-    """
-    out = dual_flag(petrie_flag(dual_flag(g)))
-    alt = petrie_flag(dual_flag(petrie_flag(g)))
-    assert out.s == alt.s
-    return out
+    Faces and edges stay; s2 is replaced by s2 s0."""
+    return FlagGraph(g.s0, g.s1, compose(g.s2, g.s0))
 
 
 def opposite_type(t):
-    return dual_type(petrie_type(dual_type(t)))
+    return TypeGraph(t.t0, t.t1, compose(t.t2, t.t0))
+
+
+def _medial_tables(s0, s1, s2):
+    """The medial recipe on raw tables over n points: copy 0 of x is x,
+    copy 2 is x + n."""
+    n = len(s0)
+    return (s1 + tuple(y + n for y in s1),
+            s2 + tuple(y + n for y in s0),
+            tuple(range(n, 2 * n)) + tuple(range(n)))
 
 
 def medial_flag(g):
     """The medial map on 2n flags, vertex-side copy first."""
-    n = g.n
-    s0, s1, s2 = g.s
-    S0 = [0] * (2 * n)
-    S1 = [0] * (2 * n)
-    S2 = [0] * (2 * n)
-    for x in range(n):
-        S0[x] = s1[x]
-        S0[x + n] = s1[x] + n
-        S1[x] = s2[x]
-        S1[x + n] = s0[x] + n
-        S2[x] = x + n
-        S2[x + n] = x
-    return FlagGraph(S0, S1, S2)
+    return FlagGraph(*_medial_tables(*g.s))
 
 
 def medial_type_double(t):
     """Medial at the type level for maps that are not self-dual: two
     copies (v,0) -> v and (v,2) -> v+k of the type graph, glued by color 2."""
-    k = t.k
-    t0, t1, t2 = t.t
-    T0 = [0] * (2 * k)
-    T1 = [0] * (2 * k)
-    T2 = [0] * (2 * k)
-    for v in range(k):
-        T0[v] = t1[v]
-        T0[v + k] = t1[v] + k
-        T1[v] = t2[v]
-        T1[v + k] = t0[v] + k
-        T2[v] = v + k
-        T2[v + k] = v
-    return TypeGraph(T0, T1, T2)
+    return TypeGraph(*_medial_tables(*t.t))
 
 
 def medial_type_extended(x):
@@ -108,14 +88,10 @@ def medial_type_extended(x):
     The two copies of the doubling are identified along the polarity:
     class representatives are the copy-0 vertices, and on them the
     colors act as (t1, t2, d). Reading color 1 through the copy-2 side
-    gives d t0 d, which the extended graph's own invariant pins to t2;
-    asserted here once more since the construction depends on it.
+    gives d t0 d, which the extended graph's own invariant pins to t2.
     """
-    t0, t1, t2 = x.base.t
-    d = x.d
-    k = x.base.k
-    assert all(d[t0[d[v]]] == t2[v] for v in range(k))
-    return TypeGraph(t1, t2, d)
+    _, t1, t2 = x.base.t
+    return TypeGraph(t1, t2, x.d)
 
 
 def demedialize(g):

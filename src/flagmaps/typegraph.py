@@ -27,11 +27,11 @@ polarity is proper when d is the identity (every orbit preserved).
 
 from dataclasses import dataclass
 
-from .errors import (BadZeroTwoComponent, NotDuality, NotInvolution,
-                     NotPolarity, TooSmall)
+from .errors import BadZeroTwoComponent, NotDuality, NotPolarity, TooSmall
 from .flagmap import flag_orbits
 from .permtools import (canonical_form, check_connected, check_image_table,
-                        equivariant_bijections, orbit_partition)
+                        check_involutions, equivariant_bijections,
+                        is_involution, orbit_partition)
 
 
 class TypeGraph:
@@ -51,13 +51,13 @@ class TypeGraph:
         k = self.k
         if k < 1:
             raise TooSmall("a type graph", k, 1, "vertex")
-        for lbl, tab in zip(("t0", "t1", "t2"), self.t):
-            check_image_table(tab, k, lbl)
-            for v in range(k):
-                if tab[tab[v]] != v:
-                    raise NotInvolution(lbl, v)
-        for comp in zero_two_components(self.t[0], self.t[2]):
-            classify_zero_two_component(self.t[0], self.t[2], comp)
+        check_involutions(self.t, ("t0", "t1", "t2"))
+        t0, _, t2 = self.t
+        if any(t0[t2[v]] != t2[t0[v]] for v in range(k)):
+            # commuting is exactly the 0-2 shape condition, so some
+            # component is of a bad shape; name the first one
+            for comp in zero_two_components(t0, t2):
+                classify_zero_two_component(t0, t2, comp)
         check_connected(k, self.t)
 
     @property
@@ -146,9 +146,6 @@ class ExtendedTypeGraph:
         for v in range(k):
             if d[t0[d[v]]] != t2[v]:
                 raise NotDuality(f"d t0 d != t2 at vertex {v}")
-        # consequences of the above, asserted independently
-        assert all(d[t1[d[t1[v]]]] == v for v in range(k))
-        assert all(d[t2[d[t0[v]]]] == v for v in range(k))
 
     @property
     def k(self):
@@ -217,9 +214,7 @@ def type_dualities(t):
 
 def polarities(t):
     """The involutory dualities of t (the ones extendable to color D)."""
-    k = t.k
-    return [d for d in type_dualities(t)
-            if all(d[d[v]] == v for v in range(k))]
+    return [d for d in type_dualities(t) if is_involution(d)]
 
 
 def admits_proper(t):

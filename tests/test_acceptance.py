@@ -4,6 +4,11 @@ The census depth is the full ten vertices, so this module carries the
 bulk of the suite's runtime. Results are computed once and shared.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from flagmaps import acceptance
@@ -44,3 +49,22 @@ def test_row_mismatch_message_shows_the_rows():
     with pytest.raises(AssertionError) as err:
         acceptance._expect_rows("totals", (n for n in (1, 8)), (1, 7, 3), 2)
     assert str(err.value) == "totals: got (1, 8), expected (1, 7)"
+
+
+def test_gates_hold_under_optimize():
+    # python -O strips assert statements; a wrong reference table must
+    # still fail its criterion and the selftest exit code
+    script = (
+        "from flagmaps import acceptance, cli\n"
+        "acceptance.EXPECTED_TOTAL = (1, 8) + acceptance.EXPECTED_TOTAL[2:]\n"
+        "raise SystemExit(cli.main(['selftest', '--max-k', '3']))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(acceptance.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert lines[0] == ("FAIL  1 census type totals within the time budget: "
+                        "AssertionError: type totals: got (1, 7, 3), "
+                        "expected (1, 8, 3)")
+    assert lines[-1] == "11/12 criteria passed"

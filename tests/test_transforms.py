@@ -4,6 +4,7 @@ import pytest
 
 from flagmaps import (
     NotAMedial,
+    TypeGraph,
     canonical_code,
     demedialize,
     dual_flag,
@@ -112,6 +113,13 @@ def test_medial_type_double_matches_pinned_names():
     for half, whole in DOUBLINGS.items():
         got = canonical_code(medial_type_double(pinned_type(half)))
         assert got == canonical_code(pinned_type(whole)), (half, whole)
+
+
+def test_flag_and_type_medials_share_one_recipe():
+    # a flag graph is a type graph with one vertex per flag
+    for g in (tetrahedron(), cube(), octahedron(), torus44(3, 0, 0, 3),
+              torus44(2, 1, -1, 2)):
+        assert medial_flag(g).s == medial_type_double(TypeGraph(*g.s)).t
 
 
 def test_medial_type_of_a_map_quotient():
