@@ -10,7 +10,7 @@ from .errors import (AmbiguousPairing, BadZeroTwoComponent,
 from .flagmap import (FlagBijection, FlagGraph, MapSkeleton,
                       color_automorphisms, duality_kind, elements,
                       flag_orbits, isomorphic, k_face_of, map_dualities,
-                      validate)
+                      map_polarity, validate)
 from .typegraph import (CanonicalCode, ExtendedTypeGraph, TypeGraph,
                         admits_proper, canonical_code, extend,
                         face_orbit_counts, is_edge_transitive_type,

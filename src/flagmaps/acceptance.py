@@ -20,8 +20,8 @@ from .enumeration import (DEFAULT_DUALITY_MODE, calibrate_duality_mode,
                           census, edge_transitive_medial_check,
                           enumerate_types, enumerate_types_bruteforce,
                           medial_census, medial_products, type_records)
-from .errors import NotAMedial
-from .flagmap import elements, flag_orbits, isomorphic, map_dualities
+from .errors import NotAMedial, check
+from .flagmap import elements, flag_orbits, isomorphic, map_polarity
 from .formats import cube, octahedron, tetrahedron, torus44
 from .transforms import (demedialize, dual_flag, dual_type, medial_flag,
                          medial_type_double, medial_type_extended,
@@ -61,16 +61,10 @@ def _rows(ctx, max_k, jobs):
     return ctx["rows"]
 
 
-def _check(holds, message=""):
-    """A gate that python -O keeps: AssertionError(message) unless holds."""
-    if not holds:
-        raise AssertionError(message)
-
-
 def _expect_rows(title, got, expected, max_k):
     got = tuple(got)
     want = expected[:max_k]
-    _check(got == want, f"{title}: got {got}, expected {want}")
+    check(got == want, f"{title}: got {got}, expected {want}")
 
 
 def _crit_census_total(max_k, jobs, ctx):
@@ -78,7 +72,7 @@ def _crit_census_total(max_k, jobs, ctx):
     _expect_rows("type totals", (r.total for r in rows),
                  EXPECTED_TOTAL, max_k)
     seconds = ctx["census_seconds"]
-    _check(seconds < CENSUS_TIME_BUDGET, f"census took {seconds:.1f}s")
+    check(seconds < CENSUS_TIME_BUDGET, f"census took {seconds:.1f}s")
     return (f"totals {tuple(r.total for r in rows)} for k=1..{max_k} "
             f"in {seconds:.1f}s (budget {CENSUS_TIME_BUDGET:.0f}s)")
 
@@ -94,7 +88,7 @@ def _crit_self_dual(max_k, jobs, ctx):
                 "needs k=8 (skipped at this depth)")
     witnesses = [r for r in type_records(8)
                  if r.self_dual and not r.self_polar]
-    _check(len(witnesses) == 1, [str(w.code) for w in witnesses])
+    check(len(witnesses) == 1, [str(w.code) for w in witnesses])
     return ("rows match; the unique self-dual type on 8 vertices with "
             f"no polarity is {witnesses[0].code}")
 
@@ -107,8 +101,8 @@ def _crit_duality_counts(max_k, jobs, ctx):
     _expect_rows("polarities", (r.polarity_count for r in rows),
                  EXPECTED_POLARITIES, max_k)
     calibrated = calibrate_duality_mode()
-    _check(calibrated == DEFAULT_DUALITY_MODE,
-           f"calibration picks {calibrated!r}, not the default")
+    check(calibrated == DEFAULT_DUALITY_MODE,
+          f"calibration picks {calibrated!r}, not the default")
     return f"calibrated counting mode is {mode!r}; both rows match"
 
 
@@ -121,7 +115,7 @@ def _crit_medial_counts(max_k, jobs, ctx):
                  EXPECTED_MEDIAL_ALL, max_k)
     for k in range(1, max_k + 1):
         med = medial_census(k)
-        _check(med.formula_ok, f"closed form fails at k={k}")
+        check(med.formula_ok, f"closed form fails at k={k}")
     return ("medial-type counts match and the union size equals the "
             "extended count plus half the (total + self-dual) count of "
             "the half size, for every computed k")
@@ -131,9 +125,9 @@ def _crit_proper_counts(max_k, jobs, ctx):
     rows = _rows(ctx, max_k, jobs)
     for row in rows:
         want = 3 if row.k % 2 == 0 else 1
-        _check(row.proper_admitting == want,
-               f"k={row.k}: {row.proper_admitting} proper-admitting types, "
-               f"expected {want}")
+        check(row.proper_admitting == want,
+              f"k={row.k}: {row.proper_admitting} proper-admitting types, "
+              f"expected {want}")
     return f"three per even k, one per odd k, verified for k=1..{max_k}"
 
 
@@ -146,12 +140,12 @@ def _crit_edge_transitive(max_k, jobs, ctx):
     by_k = {}
     for code in report.types:
         by_k[code.k] = by_k.get(code.k, 0) + 1
-    _check(by_k == {1: 1, 2: 6, 4: 7}, by_k)
+    check(by_k == {1: 1, 2: 6, 4: 7}, by_k)
     for k in (1, 2, 4):
         med = set(medial_census(k).codes)
         missing = [c for c in report.types if c.k == k and c not in med]
-        _check(not missing, f"k={k}: not medial types: {missing}")
-    _check(report.all_present)
+        check(not missing, f"k={k}: not medial types: {missing}")
+    check(report.all_present)
     prov = dict(report.provenance)
     for product, source, route in (
             ("2_01", "1", "doubling"),
@@ -164,8 +158,8 @@ def _crit_edge_transitive(max_k, jobs, ctx):
             ("4_H", "2_0", "doubling"),
             ("4_H", "2_2", "doubling")):
         entry = (_pinned_code(source), route)
-        _check(entry in prov[_pinned_code(product)],
-               f"{product} lacks provenance ({source}, {route})")
+        check(entry in prov[_pinned_code(product)],
+              f"{product} lacks provenance ({source}, {route})")
     return ("counts 1/6/7 on 1/2/4 vertices, all 14 codes are medial "
             "types, provenance matches on the 9 pinned routes")
 
@@ -198,7 +192,7 @@ def _crit_pinned_products(max_k, jobs, ctx):
             ("3^02", "doubling", "6_M")):
         got = _products(source, route)
         want = {_pinned_code(product)}
-        _check(got == want, f"({source}, {route}): {got} != {product}")
+        check(got == want, f"({source}, {route}): {got} != {product}")
         checks += 1
     return f"{checks} pinned extended/doubling products, exact code match"
 
@@ -215,37 +209,24 @@ def _builtin_maps():
                    for name, g in base]
 
 
-def _projected_polarity(g, delta):
-    """Push a flag-level duality down to the orbit level."""
-    orbits, orbit_of = flag_orbits(g)
-    d = [-1] * len(orbits)
-    for x in range(g.n):
-        o = orbit_of[x]
-        img = orbit_of[delta.image[x]]
-        _check(d[o] in (-1, img), "duality does not descend to orbits")
-        d[o] = img
-    return tuple(d)
-
-
 def _crit_commutation(max_k, jobs, ctx):
     extended_path = 0
     doubling_path = 0
     for name, g in _builtin_maps():
         t = quotient(g)
-        _check(canonical_code(quotient(dual_flag(g)))
+        check(canonical_code(quotient(dual_flag(g)))
                == canonical_code(dual_type(t)), f"dual path on {name}")
-        _check(canonical_code(quotient(petrie_flag(g)))
+        check(canonical_code(quotient(petrie_flag(g)))
                == canonical_code(petrie_type(t)), f"petrie path on {name}")
         me_code = canonical_code(quotient(medial_flag(g)))
-        dualities = map_dualities(g)
-        if dualities:
-            d = _projected_polarity(g, dualities[0])
+        d = map_polarity(g)
+        if d is not None:
             got = canonical_code(medial_type_extended(extend(t, d)))
             extended_path += 1
         else:
             got = canonical_code(medial_type_double(t))
             doubling_path += 1
-        _check(me_code == got, f"medial path on {name}")
+        check(me_code == got, f"medial path on {name}")
     return (f"dual, petrie and medial commute with the quotient on all "
             f"10 builtins ({extended_path} extended, {doubling_path} "
             f"doubled medial paths)")
@@ -255,8 +236,8 @@ def _crit_demedialize(max_k, jobs, ctx):
     for name, g in _builtin_maps():
         me = medial_flag(g)
         first, second = demedialize(me)
-        _check(isomorphic(medial_flag(first), me) is not None, name)
-        _check(isomorphic(dual_flag(first), second) is not None, name)
+        check(isomorphic(medial_flag(first), me) is not None, name)
+        check(isomorphic(dual_flag(first), second) is not None, name)
     try:
         demedialize(tetrahedron())
     except NotAMedial:
@@ -272,11 +253,11 @@ def _crit_medial_counts_flags(max_k, jobs, ctx):
         sk = elements(g)
         me = medial_flag(g)
         skm = elements(me)
-        _check(skm.num_vertices == sk.num_edges, name)
-        _check(skm.num_edges == 2 * sk.num_edges, name)
-        _check(skm.num_faces == sk.num_vertices + sk.num_faces, name)
-        _check(skm.euler == sk.euler, name)
-        _check(me.n == 2 * g.n, name)
+        check(skm.num_vertices == sk.num_edges, name)
+        check(skm.num_edges == 2 * sk.num_edges, name)
+        check(skm.num_faces == sk.num_vertices + sk.num_faces, name)
+        check(skm.euler == sk.euler, name)
+        check(me.n == 2 * g.n, name)
     return ("medial vertex/edge/face counts, Euler characteristic and "
             "flag doubling verified on all 10 builtins")
 
@@ -287,22 +268,22 @@ def _crit_bruteforce(max_k, jobs, ctx):
     for k in range(1, 5):
         fast = enumerate_types(k)
         slow = enumerate_types_bruteforce(k)
-        _check(fast == slow, f"k={k}: skeleton-first != brute force")
+        check(fast == slow, f"k={k}: skeleton-first != brute force")
         counts.append(len(fast))
     seconds = time.monotonic() - start
-    _check(seconds < BRUTE_TIME_BUDGET, f"{seconds:.1f}s")
+    check(seconds < BRUTE_TIME_BUDGET, f"{seconds:.1f}s")
     return (f"code-for-code equality for k=1..4 {tuple(counts)} in "
             f"{seconds:.1f}s (budget {BRUTE_TIME_BUDGET:.0f}s)")
 
 
 def _crit_double_medial(max_k, jobs, ctx):
     report = schlafli_gate_for_double_medial(torus44(3, 0, 0, 3))
-    _check(report.counts_equal,
-           (report.orbits, report.double_medial_orbits))
+    check(report.counts_equal,
+          (report.orbits, report.double_medial_orbits))
     cube_orbits = len(flag_orbits(cube())[0])
     meme_orbits = len(flag_orbits(medial_flag(medial_flag(cube())))[0])
-    _check(cube_orbits == 1)
-    _check(meme_orbits == 4, meme_orbits)
+    check(cube_orbits == 1)
+    check(meme_orbits == 4, meme_orbits)
     return (f"square torus keeps {report.orbits} orbit(s) under the "
             f"double medial; the cube goes from 1 to {meme_orbits}")
 

@@ -16,8 +16,7 @@ from . import acceptance, names
 from .enumeration import census, format_census_table, medial_census, \
     type_records
 from .errors import MapError, NotAMedial
-from .flagmap import (FlagGraph, color_automorphisms, duality_kind,
-                      elements, flag_orbits, isomorphic)
+from .flagmap import FlagGraph, duality_kind, elements, isomorphic
 from .formats import (decode_ascii, document_rows, parse_document,
                       serialize_flg, serialize_stg, to_dot)
 from .transforms import (demedialize, dual_flag, medial_flag, opposite_flag,
@@ -79,7 +78,6 @@ def _fmt_schlafli(pair):
 def _cmd_analyze(args):
     g = _require_map(_read_document(args.file), "analyze")
     sk = elements(g)
-    orbits, _ = flag_orbits(g)
     t = quotient(g)
     code = canonical_code(t)
     alias = names.lookup(code, names.load_aliases()) or "none"
@@ -97,8 +95,9 @@ def _cmd_analyze(args):
     print(f"euler: {sk.euler}")
     print(f"orientable: {'yes' if sk.orientable else 'no'}")
     print(f"schlafli: {_fmt_schlafli(sk.schlafli)}")
-    print(f"automorphisms: {len(color_automorphisms(g))}")
-    print(f"orbits: {len(orbits)}")
+    # the automorphisms act semiregularly: each orbit has |Aut| flags
+    print(f"automorphisms: {g.n // t.k}")
+    print(f"orbits: {t.k}")
     print(f"type: {code}")
     print(f"alias: {alias}")
     print(f"self-dual: {kind if kind else 'no'}")

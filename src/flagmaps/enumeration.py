@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import names
-from .errors import Disconnected
+from .errors import Disconnected, check
 from .permtools import (canonical_form, compose, conjugate,
                         equivariant_bijections, involutions,
                         is_involution, orbit_partition)
@@ -210,7 +210,8 @@ def _type_details(k):
         if dual_form == tabs:
             dualities = tuple(equivariant_bijections(tabs, (t2, t1, t0)))
             auts = tuple(equivariant_bijections(tabs, tabs))
-            assert len(dualities) == len(auts)
+            check(len(dualities) == len(auts),
+                  f"{len(dualities)} dualities but {len(auts)} automorphisms")
         else:
             dualities = ()
             auts = ()
@@ -321,10 +322,12 @@ def census(k, duality_mode=None, jobs=1):
             self_polar += bool(pols)
     d_total, e_total = _mode_counts(k, mode)
     med = medial_census(k)
-    assert proper_admitting == (3 if k % 2 == 0 else 1), proper_admitting
-    assert self_polar <= self_dual <= total
-    assert e_total <= d_total
-    assert med.f <= e_total
+    check(proper_admitting == (3 if k % 2 == 0 else 1),
+          f"{proper_admitting} proper-admitting types at k={k}")
+    check(self_polar <= self_dual <= total,
+          f"self-polar {self_polar}, self-dual {self_dual}, total {total}")
+    check(e_total <= d_total, f"{e_total} polarities, {d_total} dualities")
+    check(med.f <= e_total, f"{med.f} medial types, {e_total} polarities")
     return CensusRow(
         k=k, total=total, self_dual=self_dual, self_polar=self_polar,
         duality_count=d_total, polarity_count=e_total,

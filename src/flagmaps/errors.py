@@ -3,8 +3,15 @@
 Every structural defect detected by a validator is reported through a
 subclass of :class:`MapError`, carrying enough context (generator label,
 witness index, component) to point at the offending part of the input.
-The CLI maps any :class:`MapError` to exit code 1.
+The CLI maps any :class:`MapError` to exit code 1. Internal consistency
+gates go through :func:`check`, which ``python -O`` does not strip.
 """
+
+
+def check(holds, message=""):
+    """A gate that python -O keeps: AssertionError(message) unless holds."""
+    if not holds:
+        raise AssertionError(message)
 
 
 class MapError(ValueError):

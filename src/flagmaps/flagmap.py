@@ -23,10 +23,11 @@ commuting with s1 and exchanging s0 with s2.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (FixedPointPresent, NotDuality, SizeMismatch, TooSmall,
                      Zero2NotCommuting)
-from .permtools import (check_connected, check_involutions,
+from .permtools import (check_connected, check_involutions, descend,
                         equivariant_bijections, is_bipartite,
                         orbit_partition)
 
@@ -203,11 +204,13 @@ def color_automorphisms(g):
     return [FlagBijection(g, g, p) for p in perms]
 
 
+@lru_cache(maxsize=1)
 def flag_orbits(g):
     """Partition of flags into automorphism orbits.
 
     Returns (orbits, orbit_of); orbits are numbered by least flag index.
-    The orbit count is the k for which the map is a k-orbit map.
+    The orbit count is the k for which the map is a k-orbit map. This is
+    the one full automorphism search; the last map's result is kept.
     """
     perms = equivariant_bijections(g.s, g.s)
     return orbit_partition(g.n, perms)
@@ -225,25 +228,28 @@ def map_dualities(g):
     return [FlagBijection(g, g, p, DUAL_SWAP) for p in perms]
 
 
-def duality_kind(g, dualities=None):
+def map_polarity(g):
+    """Image table of the self-dualities on flag_orbits, or None if the
+    map is not self-dual. Dualities differ by automorphisms, which fix
+    every orbit, so the first duality found gives the table of all."""
+    found = equivariant_bijections(g.s, g.s[::-1], first_only=True)
+    if not found:
+        return None
+    return descend(found[0], *flag_orbits(g))
+
+
+def duality_kind(g):
     """None if the map is not self-dual, else "proper" or "improper".
 
-    A self-duality is proper when it maps every flag orbit to itself. All
-    dualities of one map induce the same permutation of orbits (they
-    differ by automorphisms, which fix orbits), so the kind is a property
-    of the map; this is asserted across the returned list.
+    Proper means the polarity fixes every flag orbit. map_polarity checks
+    (by descend) that one duality permutes the orbits; that all dualities
+    give that polarity is a theorem, checked in the tests on the builtins
+    and their medials, not at run time.
     """
-    if dualities is None:
-        dualities = map_dualities(g)
-    if not dualities:
+    d = map_polarity(g)
+    if d is None:
         return None
-    _, orbit_of = flag_orbits(g)
-    kinds = set()
-    for d in dualities:
-        img = d.image
-        kinds.add(all(orbit_of[img[x]] == orbit_of[x] for x in range(g.n)))
-    assert len(kinds) == 1, "dualities of one map must act alike on orbits"
-    return "proper" if kinds.pop() else "improper"
+    return "proper" if d == tuple(range(len(d))) else "improper"
 
 
 def isomorphic(g, h, color_perm=(0, 1, 2)):

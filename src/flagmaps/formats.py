@@ -27,7 +27,7 @@ import math
 import re
 
 from .errors import (AmbiguousPairing, DegenerateLattice,
-                     EdgeOccurrenceCount, ParseError)
+                     EdgeOccurrenceCount, ParseError, check)
 from .flagmap import FlagGraph
 from .permtools import orbit_partition
 from .typegraph import ExtendedTypeGraph, TypeGraph
@@ -321,7 +321,7 @@ def _lattice_basis(a, b, c, d):
         q = (b if a > 0 else -b)
     else:
         g, u, v = _extended_gcd(a, c)
-        assert g == p
+        check(g == p, f"extended gcd {g} differs from gcd {p}")
         q = u * b + v * d
     r = abs(det) // p
     q %= r

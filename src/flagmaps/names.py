@@ -25,7 +25,7 @@ import json
 import os
 from pathlib import Path
 
-from .errors import MapError, ParseError
+from .errors import MapError, ParseError, check
 from .formats import decode_ascii
 from .transforms import dual_type, medial_type_double, medial_type_extended
 from .typegraph import (ExtendedTypeGraph, TypeGraph, canonical_code,
@@ -49,7 +49,7 @@ def _build():
     t30 = medial_type_extended(ExtendedTypeGraph(t302, (0, 1, 2)))
     shapes = {classify_zero_two_component(t30.t0, t30.t2, comp)
               for comp in zero_two_components(t30.t0, t30.t2)}
-    assert shapes == {"Q2a", "Q1"}, shapes
+    check(shapes == {"Q2a", "Q1"}, shapes)
     graphs = {
         "1": one,
         "2": _two_vertex(()),
@@ -70,7 +70,8 @@ def _build():
     registry = {}
     for name, graph in graphs.items():
         code = canonical_code(graph)
-        assert code not in registry, f"{name} collides with {registry[code]}"
+        check(code not in registry,
+              f"{name} collides with {registry.get(code)}")
         registry[code] = name
     return registry, graphs
 

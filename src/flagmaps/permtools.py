@@ -10,7 +10,7 @@ for color-equivariant bijections.
 
 from functools import lru_cache
 
-from .errors import Disconnected, NotInvolution, NotPermutation
+from .errors import Disconnected, NotInvolution, NotPermutation, check
 
 
 def compose(p, q):
@@ -87,6 +87,15 @@ def orbit_partition(n, gens):
                     add(y)
         orbits.append(tuple(sorted(members)))
     return tuple(orbits), tuple(orbit_of)
+
+
+def descend(p, orbits, orbit_of):
+    """Image table of p on the orbits of orbit_partition; AssertionError
+    when the members of some orbit map into different orbits."""
+    img = tuple(orbit_of[p[members[0]]] for members in orbits)
+    check(all(orbit_of[px] == img[orbit_of[x]] for x, px in enumerate(p)),
+          "permutation does not descend to orbits")
+    return img
 
 
 def check_connected(n, gens):

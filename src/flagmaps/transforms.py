@@ -29,7 +29,7 @@ input is the medial of.
 
 from dataclasses import dataclass
 
-from .errors import MapError, NotAMedial
+from .errors import MapError, NotAMedial, check
 from .flagmap import FlagGraph, elements, flag_orbits, isomorphic
 from .permtools import compose, orbit_partition
 from .typegraph import TypeGraph
@@ -141,7 +141,7 @@ class DoubleMedialReport:
 
     Equality of the first and third count is a necessary condition for
     Schläfli type {4,4}; when the counts agree the Schläfli pair is
-    asserted to be (4,4).
+    checked to be (4,4).
     """
 
     orbits: int
@@ -162,8 +162,7 @@ def schlafli_gate_for_double_medial(g):
         medial_orbits=len(flag_orbits(me)[0]),
         double_medial_orbits=len(flag_orbits(meme)[0]),
         schlafli=elements(g).schlafli)
-    if report.counts_equal:
-        assert report.schlafli == (4, 4), (
-            "orbit counts of M and Me(Me(M)) agree for a map of type "
-            f"{report.schlafli}")
+    check(not report.counts_equal or report.schlafli == (4, 4),
+          "orbit counts of M and Me(Me(M)) agree for a map of type "
+          f"{report.schlafli}")
     return report

@@ -27,10 +27,11 @@ polarity is proper when d is the identity (every orbit preserved).
 
 from dataclasses import dataclass
 
-from .errors import BadZeroTwoComponent, NotDuality, NotPolarity, TooSmall
+from .errors import (BadZeroTwoComponent, NotDuality, NotPolarity, TooSmall,
+                     check)
 from .flagmap import flag_orbits
 from .permtools import (canonical_form, check_connected, check_image_table,
-                        check_involutions, equivariant_bijections,
+                        check_involutions, descend, equivariant_bijections,
                         is_involution, orbit_partition)
 
 
@@ -165,21 +166,12 @@ class ExtendedTypeGraph:
 def quotient(g):
     """The symmetry type graph of a map.
 
-    Vertices are the flag orbits in their flagmap numbering; t_i sends
-    the orbit of x to the orbit of s_i[x]. Well-definedness over every
-    orbit member is asserted rather than trusted.
+    Vertices are the flag orbits of flag_orbits; t_i sends the orbit of
+    x to the orbit of s_i[x]. descend checks, for every flag, that this
+    is well defined, and TypeGraph validates the result.
     """
-    orbits, orbit_of = flag_orbits(g)
-    k = len(orbits)
-    tabs = []
-    for tab in g.s:
-        timg = [-1] * k
-        for o, members in enumerate(orbits):
-            images = {orbit_of[tab[x]] for x in members}
-            assert len(images) == 1, "quotient action ill-defined"
-            timg[o] = images.pop()
-        tabs.append(tuple(timg))
-    return TypeGraph(*tabs)
+    orbits = flag_orbits(g)
+    return TypeGraph(*(descend(tab, *orbits) for tab in g.s))
 
 
 def face_orbit_counts(t):
@@ -231,9 +223,9 @@ def admits_proper(t):
         shape = classify_zero_two_component(t0, t2, comp)
         if shape in ("Q4", "Q2a", "Q2b"):
             return False, comp
-    assert t0 == t2
+    check(t0 == t2, "t0 != t2 although no component forces it")
     ident = tuple(range(t.k))
-    assert ident in polarities(t)
+    check(ident in polarities(t), "the identity is not a polarity")
     return True, None
 
 

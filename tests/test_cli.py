@@ -104,6 +104,41 @@ def test_analyze_twisted_torus(tmp_path, capsys):
         assert line in out, line
 
 
+ANALYZE_FIELDS = ("flags", "vertices", "edges", "faces", "euler",
+                  "orientable", "schlafli", "automorphisms", "orbits",
+                  "type", "alias", "self-dual", "self-petrie", "medial")
+
+# the whole analyze report, one value per field in ANALYZE_FIELDS order;
+# proper, improper and not self-dual maps, medial and not
+ANALYZE_REPORTS = {
+    "tetrahedron": (tetrahedron, "24 4 6 4 2 yes {3,3} 24 1 "
+                    "stg;1;0;0;0 1 proper no no"),
+    "cube": (cube, "48 8 12 6 2 yes {4,3} 48 1 stg;1;0;0;0 1 no no no"),
+    "octahedron": (octahedron, "48 6 12 8 2 yes {3,4} 48 1 "
+                   "stg;1;0;0;0 1 no no yes"),
+    "torus44(3,0,0,3)": (lambda: torus44(3, 0, 0, 3),
+                         "72 9 18 9 0 yes {4,4} 72 1 "
+                         "stg;1;0;0;0 1 proper no no"),
+    "torus44(2,1,-1,2)": (lambda: torus44(2, 1, -1, 2),
+                          "40 5 10 5 0 yes {4,4} 20 2 "
+                          "stg;2;1,0;1,0;1,0 2 improper no no"),
+    "medial of cube": (lambda: medial_flag(cube()),
+                       "96 12 24 14 2 yes none 48 2 "
+                       "stg;2;0,1;0,1;1,0 2_01 no no yes"),
+}
+
+
+@pytest.mark.parametrize("name", ANALYZE_REPORTS)
+def test_analyze_report_is_frozen(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.delenv(ALIAS_ENV_VAR, raising=False)
+    build, values = ANALYZE_REPORTS[name]
+    path = write_map(tmp_path, build())
+    assert main(["analyze", path]) == 0
+    want = "".join(f"{field}: {value}\n" for field, value
+                   in zip(ANALYZE_FIELDS, values.split(), strict=True))
+    assert capsys.readouterr().out == want
+
+
 def test_transform_dual_to_file_and_medial_to_stdout(tmp_path, capsys):
     path = write_map(tmp_path, cube())
     out_path = tmp_path / "dual.flg"

@@ -11,12 +11,13 @@ import networkx as nx
 import pytest
 
 from flagmaps import (FlagBijection, FlagGraph, color_automorphisms,
-                      cube, duality_kind, elements, flag_graph_from_walks,
-                      flag_orbits, isomorphic, k_face_of, map_dualities,
-                      octahedron, tetrahedron, torus44, validate)
+                      cube, duality_kind, elements, extend,
+                      flag_graph_from_walks, flag_orbits, isomorphic,
+                      k_face_of, map_dualities, map_polarity, medial_flag,
+                      octahedron, quotient, tetrahedron, torus44, validate)
 from flagmaps.errors import (Disconnected, FixedPointPresent, NotDuality,
                              NotInvolution, SizeMismatch, Zero2NotCommuting)
-from flagmaps.permtools import conjugate
+from flagmaps.permtools import conjugate, descend
 
 
 def nx_aut_count(g):
@@ -177,3 +178,26 @@ def test_flag_bijection_checks_intertwining():
     bad[0], bad[1] = bad[1], bad[0]
     with pytest.raises(NotDuality):
         FlagBijection(g, g, tuple(bad))
+
+
+BUILTINS = (tetrahedron, cube, octahedron, lambda: torus44(3, 0, 0, 3),
+            lambda: torus44(2, 1, -1, 2))
+
+
+@pytest.mark.parametrize("medial", (False, True), ids=("map", "medial"))
+@pytest.mark.parametrize("build", BUILTINS,
+                         ids=("tetrahedron", "cube", "octahedron",
+                              "torus44(3,0,0,3)", "torus44(2,1,-1,2)"))
+def test_every_duality_induces_the_map_polarity(build, medial):
+    # the theorem behind map_polarity: dualities differ by automorphisms,
+    # which fix every flag orbit, so they all descend to one polarity
+    g = medial_flag(build()) if medial else build()
+    polarity = map_polarity(g)
+    dualities = map_dualities(g)
+    assert (polarity is None) == (not dualities)
+    orbits = flag_orbits(g)
+    assert {descend(d.image, *orbits) for d in dualities} <= {polarity}
+    if polarity is not None:
+        extend(quotient(g), polarity)  # raises unless it is a polarity
+        proper = polarity == tuple(range(len(polarity)))
+        assert duality_kind(g) == ("proper" if proper else "improper")

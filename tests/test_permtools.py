@@ -13,7 +13,7 @@ import pytest
 from flagmaps.errors import Disconnected
 from flagmaps.permtools import (canonical_form, check_connected,
                                 check_image_table, compose, conjugate,
-                                equivariant_bijections, inverse,
+                                descend, equivariant_bijections, inverse,
                                 involutions, is_bipartite, is_involution,
                                 orbit_partition)
 
@@ -145,3 +145,13 @@ def test_equivariant_bijections_first_only():
     swap = (1, 0)
     assert equivariant_bijections((swap,) * 3, (swap,) * 3,
                                   first_only=True) == [(0, 1)]
+
+
+def test_descend_to_orbits():
+    # orbits of the square's rotation by two: {0, 2} and {1, 3}
+    orbits, orbit_of = orbit_partition(4, [(2, 3, 0, 1)])
+    assert descend((1, 2, 3, 0), orbits, orbit_of) == (1, 0)
+    assert descend((0, 3, 2, 1), orbits, orbit_of) == (0, 1)
+    # (0 1) sends 0 into {1, 3} but 2 stays in {0, 2}
+    with pytest.raises(AssertionError, match="does not descend"):
+        descend((1, 0, 2, 3), orbits, orbit_of)

@@ -1,5 +1,6 @@
 """Property tests of the wire formats: round trips under relabeling, and
-mutated documents that fail only with MapError."""
+mutated documents that fail only with MapError; and of the symmetry
+invariants of a map, which relabeling must not change."""
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from flagmaps import (AmbiguousPairing, DegenerateLattice,
                       EdgeOccurrenceCount, ExtendedTypeGraph, FlagGraph,
-                      MapError, TypeGraph, enumerate_types, extend,
-                      face_walks, parse_document, polarities, realize,
-                      serialize_flg, serialize_map, serialize_stg,
-                      serialize_xstg, torus44)
+                      MapError, TypeGraph, canonical_code,
+                      color_automorphisms, duality_kind, enumerate_types,
+                      extend, face_walks, parse_document, polarities,
+                      quotient, realize, serialize_flg, serialize_map,
+                      serialize_stg, serialize_xstg, torus44)
 from flagmaps.formats import cube, octahedron, tetrahedron
 from flagmaps.permtools import conjugate
 
@@ -124,3 +126,25 @@ def test_mutated_documents_fail_only_with_map_error(text):
         parse_document(text)
     except MapError:
         pass
+
+
+@st.composite
+def map_and_relabeling(draw):
+    """A relabeled builtin or a random torus, and a relabeling of it."""
+    g = draw(st.one_of(relabeled(MAPS), relabeled(torus())))
+    perm = draw(st.permutations(range(g.n)))
+    return g, relabel(g, tuple(perm))
+
+
+@PROPERTY
+@given(first=map_and_relabeling(), second=map_and_relabeling())
+def test_symmetry_invariants_under_relabeling(first, second):
+    (g, g2), (h, h2) = first, second
+    # every call below switches maps, so the one-entry flag_orbits memo
+    # is replaced between calls and must never answer for the wrong map
+    codes = {x: canonical_code(quotient(x)) for x in (g, h, g2, h2)}
+    kinds = {x: duality_kind(x) for x in (h2, g, h, g2)}
+    for x in (g2, h, g, h2):
+        assert len(color_automorphisms(x)) * quotient(x).k == x.n
+    assert codes[g] == codes[g2] and codes[h] == codes[h2]
+    assert kinds[g] == kinds[g2] and kinds[h] == kinds[h2]
