@@ -32,6 +32,7 @@ extended and doubled medial type on m vertices once, with its source and
 route; the medial-type sets, the provenance and the records all read it.
 """
 
+import multiprocessing
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -156,7 +157,12 @@ def _enumerate_tables(k, jobs=1):
         return _TABLES_CACHE[k]
     work = [(k, counts) for counts in _shape_multisets(k)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # built once here; forked workers inherit it instead of each
+        # rebuilding it (the package starts no thread, so fork is safe)
+        _conjugation_actions(k)
+        ctx = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
             chunks = list(pool.map(_skeleton_worker, work))
     else:
         chunks = [_skeleton_worker(item) for item in work]

@@ -164,9 +164,17 @@ def canonical_form(tables):
     determined by the start alone, two inputs get equal forms iff some
     relabeling carries one generator tuple to the other position by
     position. The result is itself a valid generator tuple.
+
+    Entry i of a start's relabeled colour-0 table is final as soon as
+    its i-th vertex is dequeued, so a start is dropped at the first
+    position where its colour-0 row exceeds the best one. The tuples are
+    compared lexicographically, colour 0 first, so a dropped start could
+    never have won and the minimum is unchanged; only a start whose
+    colour-0 row ties the best to the end builds the full tuple.
     """
-    k = len(tables[0])
-    best = None
+    tab0 = tables[0]
+    k = len(tab0)
+    best = best0 = None
     rng = range(k)
     for start in rng:
         num = [-1] * k
@@ -175,6 +183,8 @@ def canonical_form(tables):
         verts[0] = start
         filled = 1
         i = 0
+        # start 0 has nothing to beat, so it always runs to the end
+        tied = best is not None
         while i < filled:
             v = verts[i]
             for tab in tables:
@@ -183,12 +193,20 @@ def canonical_form(tables):
                     num[w] = filled
                     verts[filled] = w
                     filled += 1
+            if tied:
+                e = num[tab0[v]]
+                if e > best0[i]:
+                    break
+                tied = e == best0[i]
             i += 1
-        if filled != k:
-            raise Disconnected([filled, k - filled])
-        cand = tuple(tuple(num[tab[verts[j]]] for j in rng) for tab in tables)
-        if best is None or cand < best:
-            best = cand
+        else:
+            if filled != k:
+                raise Disconnected([filled, k - filled])
+            cand = tuple(tuple(num[tab[verts[j]]] for j in rng)
+                         for tab in tables)
+            if best is None or cand < best:
+                best = cand
+                best0 = best[0]
     return best
 
 

@@ -271,7 +271,10 @@ def canonical_code(t):
     the order 0, 1, 2 (then D) assigns discovery numbers; the least
     relabeled table tuple over all starts is the code. Rigidity of the
     traversal gives canonicity, exactly as in the semiregularity argument
-    for flag graphs.
+    for flag graphs. A start is dropped at the first position where its
+    colour-0 row exceeds the best one found so far; the tables are
+    compared lexicographically, colour 0 first, so this leaves the code
+    unchanged; on a rigid type graph most starts end after a few steps.
     """
     if isinstance(t, ExtendedTypeGraph):
         return CanonicalCode("xstg", canonical_form(t.base.t + (t.d,)))

@@ -93,6 +93,17 @@ def test_parallel_enumeration_matches_serial():
     assert enumerate_types(6, jobs=2) == serial
 
 
+def test_parallel_enumeration_leaves_no_process():
+    import multiprocessing
+
+    from flagmaps import enumeration as enum_mod
+
+    serial = enumerate_types(5)
+    enum_mod._TABLES_CACHE.pop(5, None)
+    assert enumerate_types(5, jobs=2) == serial
+    assert multiprocessing.active_children() == []
+
+
 def test_realize_round_trip():
     for k in range(1, 6):
         for code in enumerate_types(k):

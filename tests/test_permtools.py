@@ -6,10 +6,13 @@ against seeded shuffles, and automorphism counts against structures
 whose symmetry is known by hand.
 """
 
+import hashlib
 import random
 
 import pytest
 
+from flagmaps import (FlagGraph, canonical_code, enumerate_types, extend,
+                      polarities, quotient, realize)
 from flagmaps.errors import Disconnected
 from flagmaps.permtools import (canonical_form, check_connected,
                                 check_image_table, compose, conjugate,
@@ -115,6 +118,123 @@ def test_canonical_form_invariance():
     # idempotent, and the form is an actual relabeling of the input
     assert canonical_form(base) == base
     assert equivariant_bijections(tables, base)
+
+
+def _canonical_form_reference(tables):
+    """canonical_form without pruning: every start runs its whole BFS and
+    builds its whole relabeled tuple before the comparison."""
+    k = len(tables[0])
+    best = None
+    rng = range(k)
+    for start in rng:
+        num = [-1] * k
+        verts = [0] * k
+        num[start] = 0
+        verts[0] = start
+        filled = 1
+        i = 0
+        while i < filled:
+            v = verts[i]
+            for tab in tables:
+                w = tab[v]
+                if num[w] < 0:
+                    num[w] = filled
+                    verts[filled] = w
+                    filled += 1
+            i += 1
+        if filled != k:
+            raise Disconnected([filled, k - filled])
+        cand = tuple(tuple(num[tab[verts[j]]] for j in rng) for tab in tables)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def asymmetric_flag_tables(n, rng):
+    """s0 = x^1, s2 the edge quadrilaterals and s1 a random matching,
+    redrawn until connected: a map on n flags (n divisible by 4) that
+    almost surely has no automorphism but the identity."""
+    s0 = tuple(x ^ 1 for x in range(n))
+    s2 = tuple(x + (3, 1, -1, -3)[x % 4] for x in range(n))
+    while True:
+        order = random_perm(n, rng)
+        s1 = [0] * n
+        for i in range(0, n, 2):
+            s1[order[i]], s1[order[i + 1]] = order[i + 1], order[i]
+        if len(orbit_partition(n, (s0, s1, s2))[0]) == 1:
+            return s0, tuple(s1), s2
+
+
+def random_involution(n, rng):
+    tab = list(range(n))
+    points = random_perm(n, rng)
+    for i in range(0, n - 1, 2):
+        if rng.random() < 0.8:
+            a, b = points[i], points[i + 1]
+            tab[a], tab[b] = b, a
+    return tuple(tab)
+
+
+def _relabeled(tables, rng):
+    perm = random_perm(len(tables[0]), rng)
+    return tuple(conjugate(tab, perm) for tab in tables)
+
+
+def _assert_matches_reference(tables):
+    assert canonical_form(tables) == _canonical_form_reference(tables)
+
+
+def test_canonical_form_pruning_on_asymmetric_maps():
+    rng = random.Random(14)
+    for n in (4, 8, 12, 20, 40, 80, 120, 160, 200):
+        for _ in range(3):
+            _assert_matches_reference(
+                _relabeled(asymmetric_flag_tables(n, rng), rng))
+
+
+def test_canonical_form_pruning_on_census_types():
+    rng = random.Random(15)
+    for k in range(1, 7):
+        for code in enumerate_types(k):
+            _assert_matches_reference(_relabeled(code.tables, rng))
+    for k in range(1, 5):
+        for code in enumerate_types(k):
+            t = realize(code)
+            for d in polarities(t):
+                x = extend(t, d)
+                _assert_matches_reference(_relabeled(x.base.t + (x.d,), rng))
+
+
+def test_canonical_form_pruning_when_colour_zero_always_ties():
+    # with t0 the identity every start's colour-0 row is 0, 1, 2, ...,
+    # so only the full-tuple comparison tells the starts apart
+    rng = random.Random(16)
+    checked = 0
+    while checked < 60:
+        n = rng.randrange(1, 41)
+        tables = (tuple(range(n)), random_involution(n, rng),
+                  random_involution(n, rng))
+        if len(orbit_partition(n, tables)[0]) == 1:
+            _assert_matches_reference(tables)
+            checked += 1
+
+
+# sha256 of str(canonical_code(quotient(g))) for the seeded asymmetric
+# maps, frozen from the unpruned search: large codes must stay byte-identical
+LARGE_CODE_SHA256 = {
+    200: "1fc7cbf19ba3c46d401e4569f0de9dfb7d9212894171f69c445027015efd4fe8",
+    360: "4bacd95cae7ccbfccd877f0db8461a9f3870b6026439200c946b47a9b722af6c",
+    520: "f6ec0c83f9bca35520c487ae45ea2bfd1b7bfd71be538f57a62bdb77d7456e07",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_CODE_SHA256))
+def test_large_codes_are_frozen(n):
+    g = FlagGraph(*asymmetric_flag_tables(n, random.Random(n)))
+    t = quotient(g)
+    assert t.k == n
+    digest = hashlib.sha256(str(canonical_code(t)).encode()).hexdigest()
+    assert digest == LARGE_CODE_SHA256[n]
 
 
 def test_canonical_form_disconnected():
